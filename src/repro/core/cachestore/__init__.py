@@ -3,9 +3,8 @@
 The in-memory LRU of :class:`~repro.core.engine.ProbeEngine` amortizes
 run cost *within* one analysis; this package extends that amortization
 *across* campaigns, processes, and — with the SQLite backend —
-concurrent writers. It grew out of the single-file
-:mod:`repro.core.runcache` JSONL store (which remains as a
-compatibility shim) into a small subsystem:
+concurrent writers. It grew out of a single-file JSONL store into a
+small subsystem:
 
 * :mod:`~repro.core.cachestore.base` — the :class:`RunCacheBackend`
   protocol, the shared record codec, :class:`StoreStats` and
@@ -18,10 +17,9 @@ compatibility shim) into a small subsystem:
 * :mod:`~repro.core.cachestore.remote` — :class:`RemoteRunCache`, an
   HTTP client for the campaign server's ``/cache`` surface: one
   store shared by a whole worker fleet, with cross-process
-  single-flight claims de-duplicating concurrent misses;
-* :mod:`~repro.core.cachestore.singleflight` — the in-process form of
-  that claim protocol, :class:`SingleFlightStore`, wrapping any local
-  backend for ``analyze_many(jobs=N)`` thread fleets;
+  single-flight claims (served by
+  :class:`repro.server.cache.CacheService`) de-duplicating concurrent
+  misses;
 * :mod:`~repro.core.cachestore.factory` — :func:`open_store` (scheme
   and extension aware) and :func:`migrate_store` (jsonl → sqlite
   upgrade path);
@@ -65,7 +63,6 @@ from repro.core.cachestore.factory import (
 )
 from repro.core.cachestore.jsonl import JsonlRunCache
 from repro.core.cachestore.remote import RemoteRunCache
-from repro.core.cachestore.singleflight import SingleFlightStore
 from repro.core.cachestore.sqlite import SqliteRunCache
 
 __all__ = [
@@ -75,7 +72,6 @@ __all__ = [
     "RemoteRunCache",
     "RunCacheBackend",
     "SQLITE_SUFFIXES",
-    "SingleFlightStore",
     "SqliteRunCache",
     "StoreKey",
     "StoreStats",

@@ -1,6 +1,6 @@
 """The append-only JSONL run-cache backend.
 
-This is the original :class:`repro.core.runcache.RunCacheStore`,
+This is the original run-cache store (once ``RunCacheStore``),
 byte-compatible with every file it ever wrote: one JSON object per
 line, appended and flushed per record, duplicate keys resolving
 last-writer-wins at load. What the format buys — human-greppable

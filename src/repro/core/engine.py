@@ -8,10 +8,14 @@ analyzer's implicit run loop into an explicit scheduler that
 * fans run requests out over a pluggable executor —
   ``executor="serial"`` preserves exact serial semantics,
   ``"thread"`` overlaps run *latency* on a ``ThreadPoolExecutor``
-  (enough for I/O-bound real workloads), and ``"process"`` shards
-  CPU-bound runs over a ``ProcessPoolExecutor``, lifting the GIL cap
-  for backends that declare themselves process-safe (``"auto"`` picks
-  serial at ``parallel=1`` and threads otherwise),
+  (enough for I/O-bound real workloads), and ``"process"`` and
+  ``"remote"`` shard CPU-bound runs past the GIL for backends that
+  declare themselves process-safe (``"auto"`` picks serial at
+  ``parallel=1`` and threads otherwise). The last two share one chunk
+  scheduler (:meth:`ProbeEngine._dispatch_chunks`) over two
+  transports: the process-wide ``ProcessPoolExecutor``
+  (:class:`_ProcessTransport`) and a TCP worker fleet
+  (:class:`~repro.fabric.executor.FabricExecutor`),
 * accepts whole probe *batches* (:meth:`ProbeEngine.run_probe_batch`):
   every ``(policy, replica)`` pair of an analysis stage is submitted
   up front, so the pool stays full across features instead of
@@ -63,9 +67,10 @@ Fault tolerance (:mod:`repro.core.faults`): an engine built with a
 timeout and bounded retries, classifies exhausted runs by the fault
 taxonomy, and — under ``on_fault="degrade"`` — quarantines them as
 :class:`~repro.core.faults.ProbeFault` entries on the outcome instead
-of aborting the campaign. A broken worker pool no longer poisons the
-batch either: the engine rebuilds the shared pool and re-enqueues only
-the lost chunks (bounded by the retry budget).
+of aborting the campaign. A dead worker does not poison the batch
+either: the chunk scheduler re-enqueues only the runs its transport
+reports lost (bounded by the retry budget), and the process transport
+rebuilds the broken shared pool first.
 
 Accounting invariant: ``runs_requested`` counts every run a caller
 asked for — including replicas that early exit later skips — so
@@ -78,6 +83,7 @@ from __future__ import annotations
 import atexit
 import concurrent.futures
 import dataclasses
+import itertools
 import multiprocessing
 import threading
 from collections import OrderedDict
@@ -119,8 +125,8 @@ CacheKey = tuple[str, str, str, int]
 #: Accepted values of ``ProbeEngine(executor=...)``.
 EXECUTORS = ("auto", "serial", "thread", "process", "remote")
 
-#: Target chunks per process-pool worker: enough slack for the pool to
-#: load-balance, few enough that per-chunk IPC stays negligible.
+#: Target chunks per transport worker: enough slack for the workers to
+#: load-balance, few enough that per-chunk transfer stays negligible.
 _CHUNKS_PER_WORKER = 8
 
 #: The process-wide shared worker pools (see :func:`_shared_process_pool`
@@ -354,6 +360,69 @@ def _execute_chunk(
     return results
 
 
+class _ProcessTransport:
+    """The chunk transport over the shared worker-process pool.
+
+    Speaks the protocol :meth:`ProbeEngine._dispatch_chunks` drives —
+    ``width``, ``submit(job) -> chunk_id``, ``next_events()`` — exactly
+    like the fleet's :class:`~repro.fabric.executor.FabricExecutor`.
+    A ``BrokenProcessPool`` dooms every future of the pool, so on a
+    break this transport drains all of them at once (survivors that
+    completed before the break keep their rows), reports the dead
+    chunks as ``lost``, and rebuilds the shared pool exactly once.
+    """
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self._pool = _shared_process_pool(width)
+        self._futures: "dict[concurrent.futures.Future, int]" = {}
+        self._ids = itertools.count(1)
+
+    def submit(self, job: tuple) -> int:
+        try:
+            future = self._pool.submit(_execute_chunk, *job)
+        except RuntimeError:
+            # The shared pool was shut down under us, or a worker died
+            # before this chunk was accepted (BrokenProcessPool is a
+            # RuntimeError): retire the dead pool — else the re-fetch
+            # hands back the same broken one — and retry once on a
+            # fresh pool. Chunks the broken pool had already accepted
+            # surface as lost from next_events.
+            self._rebuild()
+            future = self._pool.submit(_execute_chunk, *job)
+        chunk_id = next(self._ids)
+        self._futures[future] = chunk_id
+        return chunk_id
+
+    def next_events(self) -> "list[tuple[str, int, object]]":
+        done, _ = concurrent.futures.wait(
+            self._futures, return_when=concurrent.futures.FIRST_COMPLETED
+        )
+        events = [self._event(future) for future in done]
+        if any(kind == "lost" for kind, _, _ in events):
+            events += [self._event(future) for future in list(self._futures)]
+            self._rebuild()
+        return events
+
+    def _event(self, future: concurrent.futures.Future) -> tuple:
+        chunk_id = self._futures.pop(future)
+        try:
+            return "done", chunk_id, future.result()
+        except (BrokenProcessPool, concurrent.futures.CancelledError) as error:
+            return "lost", chunk_id, error
+        except Exception as error:
+            return "failed", chunk_id, error
+
+    def _rebuild(self) -> None:
+        _replace_broken_process_pool(self._pool)
+        self._pool = _shared_process_pool(self.width)
+
+    def close(self) -> None:
+        """Cancel the chunks still queued (running ones finish)."""
+        for future in self._futures:
+            future.cancel()
+
+
 @dataclasses.dataclass(frozen=True)
 class EngineStats:
     """Immutable snapshot of one engine's run accounting.
@@ -561,16 +630,16 @@ class ProbeEngine:
     def close(self) -> None:
         """Release this engine's hold on scheduling state (idempotent).
 
-        The worker pools — thread and process alike — are process-wide
-        and deliberately survive this call for the other engines of
-        the process (:func:`shutdown_worker_pools` reclaims them
-        explicitly); the engine stays usable, re-fetching a pool — at
-        the *current* ``parallel`` width — on the next scheduling
-        call. The fabric connection, by contrast, is this engine's
-        own: it is torn down here (workers survive a scheduler hangup
-        and serve the next connection). Kept as an explicit lifecycle
-        point so analyzers and sessions can context-manage engines
-        uniformly.
+        Of the chunk scheduler's two transports, the process pool is
+        process-wide and deliberately survives this call for the other
+        engines of the process, as does the thread pool
+        (:func:`shutdown_worker_pools` reclaims both explicitly); the
+        engine stays usable, re-fetching a pool — at the *current*
+        ``parallel`` width — on the next scheduling call. The fleet
+        transport, by contrast, is this engine's own connection: it is
+        torn down here (workers survive a scheduler hangup and serve
+        the next connection). Kept as an explicit lifecycle point so
+        analyzers and sessions can context-manage engines uniformly.
         """
         self._close_fabric()
 
@@ -993,25 +1062,27 @@ class ProbeEngine:
                             failed[probe_index] = True
                         continue
                 tasks.append((probe_index, replica, policy, key))
-        keys = {
-            (probe_index, replica): key
-            for probe_index, replica, _policy, key in tasks
-        }
-        if mode == "process":
-            self._dispatch_process_chunks(
-                backend, workload, tasks, keys, collected, faulted,
-                failed, early_exit,
-            )
-        elif mode == "remote":
-            self._dispatch_remote_chunks(
-                backend, workload, tasks, keys, collected, faulted,
-                failed, early_exit,
-            )
-        else:
+        if mode == "thread":
             self._dispatch_threads(
-                backend, workload, tasks, keys, collected, faulted,
-                failed, early_exit,
+                backend, workload, tasks, collected, faulted, failed,
+                early_exit,
             )
+        elif tasks:
+            transport = self._chunk_transport(mode)
+            try:
+                self._dispatch_chunks(
+                    transport, backend, workload, tasks, collected,
+                    faulted, early_exit,
+                )
+            except BaseException:
+                # Drop the chunks still in flight so their late results
+                # cannot leak into the next batch. Fleet workers tolerate
+                # a scheduler hangup; the next remote dispatch reconnects.
+                if mode == "remote":
+                    self._close_fabric()
+                else:
+                    transport.close()
+                raise
         # Whatever was asked for but never ran — cancelled in time,
         # skipped by a worker after an in-chunk failure, or never
         # submitted after a cached failure — was skipped. Runs that won
@@ -1040,7 +1111,6 @@ class ProbeEngine:
         backend: ExecutionBackend,
         workload: Workload,
         tasks: Sequence[tuple[int, int, InterpositionPolicy, "CacheKey | None"]],
-        keys: dict[tuple[int, int], "CacheKey | None"],
         collected: list[dict[int, RunResult]],
         faulted: list[dict[int, ProbeFault]],
         failed: list[bool],
@@ -1069,7 +1139,7 @@ class ProbeEngine:
             fault_policy = None
         pool = self._pool("thread")
         position = 0
-        active: "dict[concurrent.futures.Future, tuple[int, int, InterpositionPolicy]]" = {}
+        active: "dict[concurrent.futures.Future, tuple[int, int, InterpositionPolicy, CacheKey | None]]" = {}
 
         def start(policy: InterpositionPolicy, replica: int):
             if fault_policy is not None:
@@ -1082,7 +1152,8 @@ class ProbeEngine:
         def submit_ready() -> None:
             nonlocal position, pool
             while position < len(tasks) and len(active) < self.parallel:
-                probe_index, replica, policy, _key = tasks[position]
+                task = tasks[position]
+                probe_index, replica, policy, _key = task
                 position += 1
                 if early_exit and failed[probe_index]:
                     continue  # a sibling already failed: never submit
@@ -1097,7 +1168,7 @@ class ProbeEngine:
                     # interpreter-shutdown and propagates.
                     pool = self._pool("thread")
                     future = start(policy, replica)
-                active[future] = (probe_index, replica, policy)
+                active[future] = task
 
         submit_ready()
         try:
@@ -1106,7 +1177,7 @@ class ProbeEngine:
                     active, return_when=concurrent.futures.FIRST_COMPLETED
                 )
                 for future in done:
-                    probe_index, replica, policy = active.pop(future)
+                    probe_index, replica, policy, key = active.pop(future)
                     try:
                         result = future.result()
                     except concurrent.futures.CancelledError:
@@ -1125,12 +1196,12 @@ class ProbeEngine:
                             faulted[probe_index][replica] = fault
                             continue
                         result = outcome.result
-                    self._record(keys[(probe_index, replica)], result, policy)
+                    self._record(key, result, policy)
                     collected[probe_index][replica] = result
                     if early_exit and not result.success \
                             and not failed[probe_index]:
                         failed[probe_index] = True
-                        for other, (other_probe, _, _) in active.items():
+                        for other, (other_probe, *_) in active.items():
                             if other_probe == probe_index:
                                 other.cancel()
                 submit_ready()
@@ -1141,295 +1212,121 @@ class ProbeEngine:
                 other.cancel()
             raise
 
-    def _dispatch_process_chunks(
+    def _chunk_transport(self, mode: str):
+        """The chunk transport for *mode*: the fleet or the process pool."""
+        if mode == "remote":
+            return self._fabric_client()
+        return _ProcessTransport(self.parallel)
+
+    def _dispatch_chunks(
         self,
+        transport,
         backend: ExecutionBackend,
         workload: Workload,
         tasks: Sequence[tuple[int, int, InterpositionPolicy, "CacheKey | None"]],
-        keys: dict[tuple[int, int], "CacheKey | None"],
         collected: list[dict[int, RunResult]],
         faulted: list[dict[int, ProbeFault]],
-        failed: list[bool],
         early_exit: bool,
     ) -> None:
-        """Process sharding: runs ship in contiguous chunks.
+        """Chunk sharding: runs ship in contiguous chunks over *transport*.
 
-        Chunking amortizes the per-task IPC cost (the backend pickles
-        once per chunk, not once per run) while still cutting the
-        batch finely enough — several chunks per worker — that the
-        pool load-balances. Early exit degrades gracefully to chunk
-        granularity: workers skip the later replicas of probes that
-        fail within their own chunk, and cross-chunk failures simply
-        run to completion (a ``ProcessPoolExecutor`` cannot retract
-        work it has already queued to a child anyway).
+        The transport is the shared process pool
+        (:class:`_ProcessTransport`) or the TCP worker fleet
+        (:class:`~repro.fabric.executor.FabricExecutor`); both run the
+        same :func:`_execute_chunk` jobs and report each chunk as
+        ``done`` (its rows), ``failed`` (the exception it raised, which
+        re-raises here) or ``lost`` (its worker died). Chunking
+        amortizes the per-job transfer cost (the backend pickles once
+        per chunk, not once per run) while still cutting the batch
+        finely enough — several chunks per worker of the transport's
+        ``width`` — that the workers load-balance. Early exit degrades
+        to chunk granularity: workers skip the later replicas of probes
+        that fail within their own chunk, and cross-chunk failures run
+        to completion (a queued chunk cannot be retracted).
 
-        A dead worker no longer poisons the batch: on
-        ``BrokenProcessPool`` the engine drains the surviving results,
-        retires the broken shared pool, fetches a fresh one, and
-        re-enqueues only the lost runs — as singleton chunks, so a
-        poison run that kills its worker takes no innocent chunk-mates
-        down with it. Each run is re-enqueued at most ``retries + 1``
-        times (one rebuild without a fault policy); beyond that it is
-        a ``worker-crash`` fault — quarantined under degrade, raised
-        otherwise.
+        A dead worker does not poison the batch: its lost runs are
+        re-enqueued as singleton chunks, so a poison run that kills its
+        worker takes no innocent chunk-mates down with it. Each run is
+        re-enqueued at most ``retries + 1`` times (once without a fault
+        policy); beyond that it is a ``worker-crash`` fault —
+        quarantined under degrade, raised otherwise.
         """
-        if not tasks:
-            return
         fault_policy = self.fault_policy
         if fault_policy is not None and not fault_policy.active:
             fault_policy = None
-        pool = self._pool("process")
         per_chunk = max(
-            1, -(-len(tasks) // (self.parallel * _CHUNKS_PER_WORKER))
+            1, -(-len(tasks) // (max(1, transport.width) * _CHUNKS_PER_WORKER))
         )
-        chunks = [
-            [
-                (probe_index, replica, policy)
-                for probe_index, replica, policy, _key in tasks[start:start + per_chunk]
-            ]
-            for start in range(0, len(tasks), per_chunk)
-        ]
-        policies = {
-            (probe_index, replica): policy
-            for probe_index, replica, policy, _key in tasks
+        runs = {
+            (probe_index, replica): (policy, key)
+            for probe_index, replica, policy, key in tasks
         }
-        #: How often one lost run may be re-enqueued onto a fresh pool.
+        #: How often one lost run may be re-enqueued.
         max_requeues = (fault_policy.retries if fault_policy else 0) + 1
         requeues: dict[tuple[int, int], int] = {}
-        rebuilds = 0
+        recoveries = 0
+        inflight: "dict[int, list[tuple[int, int, InterpositionPolicy]]]" = {}
 
-        def submit(chunk):
-            nonlocal pool
-            try:
-                return pool.submit(
-                    _execute_chunk, backend, workload, chunk, early_exit,
-                    fault_policy,
-                )
-            except RuntimeError:
-                # The shared pool was shut down under us, or a worker
-                # died before this chunk was accepted (BrokenProcessPool
-                # is a RuntimeError): retire the dead pool — else the
-                # re-fetch hands back the same broken one — and retry
-                # once on a fresh pool. Chunks the broken pool had
-                # already accepted surface as lost runs in the wait
-                # loop and are re-enqueued there.
-                _replace_broken_process_pool(pool)
-                pool = self._pool("process")
-                return pool.submit(
-                    _execute_chunk, backend, workload, chunk, early_exit,
-                    fault_policy,
-                )
+        def submit(chunk: list) -> None:
+            job = (backend, workload, chunk, early_exit, fault_policy)
+            inflight[transport.submit(job)] = chunk
 
-        def consume(rows) -> None:
-            for probe_index, replica, row in rows:
-                if isinstance(row, ProbeFault):
-                    self._account_fault(row)
-                    faulted[probe_index][replica] = row
-                    continue
-                self._record(
-                    keys[(probe_index, replica)], row,
-                    policies[(probe_index, replica)],
-                )
-                collected[probe_index][replica] = row
-                if early_exit and not row.success:
-                    failed[probe_index] = True
-
-        futures = {submit(chunk): chunk for chunk in chunks}
-        try:
-            while futures:
-                done, _ = concurrent.futures.wait(
-                    futures, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-                lost: list[tuple[int, int, InterpositionPolicy]] = []
-                pool_error: "BaseException | None" = None
-                for future in done:
-                    chunk = futures.pop(future)
-                    try:
-                        rows = future.result()
-                    except concurrent.futures.CancelledError:
-                        continue
-                    except BrokenProcessPool as error:
-                        lost.extend(chunk)
-                        pool_error = error
-                        continue
-                    consume(rows)
-                if pool_error is None:
-                    continue
-                # The pool is broken, which dooms every remaining
-                # future with it. Drain them all now — survivors that
-                # completed before the break keep their results — so
-                # the pool is rebuilt exactly once per break.
-                for future, chunk in list(futures.items()):
-                    try:
-                        rows = future.result()
-                    except (
-                        BrokenProcessPool,
-                        concurrent.futures.CancelledError,
-                    ):
-                        lost.extend(chunk)
-                    else:
-                        consume(rows)
-                futures.clear()
-                rebuilds += 1
-                _replace_broken_process_pool(pool)
-                pool = self._pool("process")
-                requeued = 0
-                for probe_index, replica, policy in lost:
-                    if (
-                        replica in collected[probe_index]
-                        or replica in faulted[probe_index]
-                    ):
-                        continue  # already answered by another chunk
-                    count = requeues.get((probe_index, replica), 0)
-                    if count < max_requeues:
-                        requeues[(probe_index, replica)] = count + 1
-                        requeued += 1
-                        # Singleton chunk: isolate the potential poison
-                        # run so it cannot take chunk-mates down again.
-                        task = (probe_index, replica, policy)
-                        futures[submit([task])] = [task]
-                        continue
-                    fault = ProbeFault(
-                        workload=workload.name,
-                        probe=policy.describe(),
-                        replica=replica,
-                        kind=FAULT_WORKER_CRASH,
-                        attempts=count + 1,
-                        detail="worker process died on every attempt",
-                    )
-                    self._account_fault(fault)
-                    if fault_policy is None or not fault_policy.degrade:
-                        raise ProbeFaultError(fault) from pool_error
-                    faulted[probe_index][replica] = fault
-                self._notify(PoolRecoveredNotice(
-                    lost_runs=requeued, rebuilds=rebuilds,
-                ))
-        except BaseException:
-            for other in futures:
-                other.cancel()
-            raise
-
-    def _dispatch_remote_chunks(
-        self,
-        backend: ExecutionBackend,
-        workload: Workload,
-        tasks: Sequence[tuple[int, int, InterpositionPolicy, "CacheKey | None"]],
-        keys: dict[tuple[int, int], "CacheKey | None"],
-        collected: list[dict[int, RunResult]],
-        faulted: list[dict[int, ProbeFault]],
-        failed: list[bool],
-        early_exit: bool,
-    ) -> None:
-        """Fleet sharding: process chunking with the pipe replaced by TCP.
-
-        Chunks are the same ``_execute_chunk`` jobs the process pool
-        ships, sized to the *fleet* width (chunks per worker, not per
-        local thread). The failure contract mirrors the process path
-        one-for-one: a worker that dies — SIGKILL, network partition,
-        heartbeat silence — surfaces its chunk as *lost*, and the lost
-        runs are re-enqueued on the survivors as singleton chunks
-        under the same ``retries + 1`` budget; beyond it they become
-        ``worker-crash`` faults (quarantined under degrade, raised
-        otherwise). A chunk whose execution *itself* raised re-raises
-        here exactly as a process future would.
-        """
-        if not tasks:
-            return
-        fault_policy = self.fault_policy
-        if fault_policy is not None and not fault_policy.active:
-            fault_policy = None
-        fabric = self._fabric_client()
-        width = max(1, fabric.worker_count)
-        per_chunk = max(1, -(-len(tasks) // (width * _CHUNKS_PER_WORKER)))
-        chunks = [
-            [
+        for start in range(0, len(tasks), per_chunk):
+            submit([
                 (probe_index, replica, policy)
-                for probe_index, replica, policy, _key in tasks[start:start + per_chunk]
-            ]
-            for start in range(0, len(tasks), per_chunk)
-        ]
-        policies = {
-            (probe_index, replica): policy
-            for probe_index, replica, policy, _key in tasks
-        }
-        max_requeues = (fault_policy.retries if fault_policy else 0) + 1
-        requeues: dict[tuple[int, int], int] = {}
-        deaths = 0
-
-        def consume(rows) -> None:
-            for probe_index, replica, row in rows:
-                if isinstance(row, ProbeFault):
-                    self._account_fault(row)
-                    faulted[probe_index][replica] = row
-                    continue
-                self._record(
-                    keys[(probe_index, replica)], row,
-                    policies[(probe_index, replica)],
-                )
-                collected[probe_index][replica] = row
-                if early_exit and not row.success:
-                    failed[probe_index] = True
-
-        inflight: dict[int, list] = {}
-        try:
-            for chunk in chunks:
-                job = (backend, workload, chunk, early_exit, fault_policy)
-                inflight[fabric.submit(job)] = chunk
-            while inflight:
-                event, chunk_id, body = fabric.next_event()
+                for probe_index, replica, policy, _key
+                in tasks[start:start + per_chunk]
+            ])
+        while inflight:
+            lost: list[tuple[int, int, InterpositionPolicy]] = []
+            for kind, chunk_id, body in transport.next_events():
                 chunk = inflight.pop(chunk_id, None)
                 if chunk is None:
-                    continue
-                if event == "done":
-                    consume(body)
-                    continue
-                if event == "failed":
+                    continue  # a stale event for a chunk written off
+                if kind == "failed":
                     # The chunk executed and raised (a fail-mode
-                    # ProbeFaultError, a raw backend error): same
-                    # propagation as ``future.result()``.
+                    # ProbeFaultError, a raw backend error).
                     raise body
-                # "lost": the worker died holding this chunk.
-                deaths += 1
-                requeued = 0
-                for probe_index, replica, policy in chunk:
-                    if (
-                        replica in collected[probe_index]
-                        or replica in faulted[probe_index]
-                    ):
+                if kind == "lost":
+                    lost.extend(chunk)
+                    error = body
+                    continue
+                for probe_index, replica, row in body:
+                    if isinstance(row, ProbeFault):
+                        self._account_fault(row)
+                        faulted[probe_index][replica] = row
                         continue
-                    count = requeues.get((probe_index, replica), 0)
-                    if count < max_requeues:
-                        requeues[(probe_index, replica)] = count + 1
-                        requeued += 1
-                        # Singleton chunk, exactly like the process
-                        # path: a poison run cannot take chunk-mates
-                        # down twice.
-                        task = (probe_index, replica, policy)
-                        job = (
-                            backend, workload, [task], early_exit,
-                            fault_policy,
-                        )
-                        inflight[fabric.submit(job)] = [task]
-                        continue
-                    fault = ProbeFault(
-                        workload=workload.name,
-                        probe=policy.describe(),
-                        replica=replica,
-                        kind=FAULT_WORKER_CRASH,
-                        attempts=count + 1,
-                        detail="remote worker died on every attempt",
-                    )
-                    self._account_fault(fault)
-                    if fault_policy is None or not fault_policy.degrade:
-                        raise ProbeFaultError(fault) from body
-                    faulted[probe_index][replica] = fault
-                self._notify(PoolRecoveredNotice(
-                    lost_runs=requeued, rebuilds=deaths,
-                ))
-        except BaseException:
-            # Chunks may still be in flight on live workers; dropping
-            # the connection now (workers tolerate a scheduler hangup)
-            # keeps their late results from leaking into the next
-            # batch. The next remote dispatch reconnects.
-            self._close_fabric()
-            raise
+                    policy, key = runs[(probe_index, replica)]
+                    self._record(key, row, policy)
+                    collected[probe_index][replica] = row
+            if not lost:
+                continue
+            recoveries += 1
+            requeued = 0
+            for probe_index, replica, policy in lost:
+                if (
+                    replica in collected[probe_index]
+                    or replica in faulted[probe_index]
+                ):
+                    continue  # already answered by another chunk
+                count = requeues.get((probe_index, replica), 0)
+                if count < max_requeues:
+                    requeues[(probe_index, replica)] = count + 1
+                    requeued += 1
+                    submit([(probe_index, replica, policy)])
+                    continue
+                fault = ProbeFault(
+                    workload=workload.name,
+                    probe=policy.describe(),
+                    replica=replica,
+                    kind=FAULT_WORKER_CRASH,
+                    attempts=count + 1,
+                    detail="worker died on every attempt",
+                )
+                self._account_fault(fault)
+                if fault_policy is None or not fault_policy.degrade:
+                    raise ProbeFaultError(fault) from error
+                faulted[probe_index][replica] = fault
+            self._notify(PoolRecoveredNotice(
+                lost_runs=requeued, rebuilds=recoveries,
+            ))

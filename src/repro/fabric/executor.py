@@ -1,9 +1,11 @@
 """The scheduler side of the run fabric: a pool of remote workers.
 
-:class:`FabricExecutor` is to ``--executor remote`` what
-``ProcessPoolExecutor`` is to ``--executor process``: the engine hands
-it pickled chunk jobs and consumes completion events. The differences
-are all about distrust of the transport:
+:class:`FabricExecutor` is one of the two chunk transports the probe
+engine's single chunk scheduler drives (the other wraps the local
+process pool): it exposes ``width`` (live workers), ``submit(job) ->
+chunk_id`` and ``next_events()``. The engine hands it pickled chunk
+jobs and consumes completion events. What sets it apart is distrust of
+the transport:
 
 * every connection opens with the versioned ``HELLO``/``WELCOME``
   handshake, and a worker whose advertised
@@ -18,7 +20,7 @@ are all about distrust of the transport:
   same retry budget the process pool uses, so a SIGKILLed worker costs
   wall-clock, never correctness.
 
-Events from :meth:`FabricExecutor.next_event`:
+Events from :meth:`FabricExecutor.next_events`:
 
 ``("done", chunk_id, rows)``
     The worker executed the chunk; *rows* are ``_execute_chunk``'s rows.
@@ -105,7 +107,14 @@ class _WorkerLink:
             self.sock.sendall(frame)
 
     def close(self) -> None:
-        for closer in (self.reader.close, self.sock.close):
+        # Shut the socket down first: it wakes the pump thread blocked in
+        # a read, which otherwise holds the reader's lock (and so stalls
+        # ``reader.close``) until the worker's next heartbeat.
+        for closer in (
+            lambda: self.sock.shutdown(socket.SHUT_RDWR),
+            self.reader.close,
+            self.sock.close,
+        ):
             try:
                 closer()
             except OSError:
@@ -166,6 +175,9 @@ class FabricExecutor:
         host, port = parse_worker_address(addr)
         sock = socket.create_connection((host, port), timeout=self.connect_timeout)
         try:
+            # Chunk frames and the worker's ACK/RESULT replies are small
+            # writes; without this, Nagle plus delayed ACK stalls each.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(self.dead_after_s)
             sock.sendall(encode_frame(KIND_HELLO, hello_payload()))
             reader = sock.makefile("rb")
@@ -228,13 +240,10 @@ class FabricExecutor:
     # -- scheduling --------------------------------------------------------
 
     @property
-    def worker_count(self) -> int:
+    def width(self) -> int:
+        """Live workers: each is one execution slot."""
         with self._lock:
             return sum(1 for link in self._links if link.alive)
-
-    def chunks_in_flight(self) -> int:
-        with self._lock:
-            return len(self._inflight) + len(self._pending)
 
     def submit(self, job: object) -> int:
         """Queue one ``_execute_chunk`` job; returns its chunk id."""
@@ -246,13 +255,16 @@ class FabricExecutor:
                 )
             chunk_id = next(self._ids)
             frame = encode_frame(KIND_CHUNK, encode_chunk(chunk_id, job))
-            self._place(chunk_id, frame)
+            self._pending.append((chunk_id, frame))
+            self._place_pending()
         return chunk_id
 
-    def _place(self, chunk_id: int, frame: bytes) -> None:
-        """Assign to an idle live worker or queue. Caller holds the lock."""
+    def _place_pending(self) -> None:
+        """Hand queued chunks, oldest first, to idle live workers.
+        Caller holds the lock."""
         for link in self._links:
-            if link.alive and link.busy_chunk is None:
+            while self._pending and link.alive and link.busy_chunk is None:
+                chunk_id, frame = self._pending.popleft()
                 link.busy_chunk = chunk_id
                 link.acked = False
                 self._inflight[chunk_id] = link
@@ -260,34 +272,18 @@ class FabricExecutor:
                     link.send(frame)
                 except OSError:
                     # The pump thread will also notice; retire the link
-                    # here so the chunk moves on immediately.
+                    # here so the chunk moves on to the next one now.
                     link.alive = False
                     link.busy_chunk = None
                     self._inflight.pop(chunk_id, None)
                     link.close()
-                    continue
-                return
-        self._pending.append((chunk_id, frame))
+                    self._pending.appendleft((chunk_id, frame))
 
-    def _drain_pending(self, link: _WorkerLink) -> None:
-        """Hand the freed *link* the oldest queued chunk, if any."""
-        while self._pending and link.alive and link.busy_chunk is None:
-            chunk_id, frame = self._pending.popleft()
-            link.busy_chunk = chunk_id
-            link.acked = False
-            self._inflight[chunk_id] = link
-            try:
-                link.send(frame)
-            except OSError:
-                link.alive = False
-                link.busy_chunk = None
-                self._inflight.pop(chunk_id, None)
-                link.close()
-                self._pending.appendleft((chunk_id, frame))
-                return
-
-    def next_event(self) -> "tuple[str, int, object]":
+    def next_events(self) -> "list[tuple[str, int, object]]":
         """Block until a chunk completes, fails, or is lost."""
+        return [self._next_event()]
+
+    def _next_event(self) -> "tuple[str, int, object]":
         while True:
             with self._lock:
                 if not any(link.alive for link in self._links):
@@ -319,7 +315,7 @@ class FabricExecutor:
                     if link.busy_chunk == chunk_id:
                         link.busy_chunk = None
                         link.acked = False
-                    self._drain_pending(link)
+                    self._place_pending()
                 if owner is None:
                     continue  # stale frame for a chunk already written off
                 label = "done" if kind == KIND_RESULT else "failed"
@@ -343,9 +339,7 @@ class FabricExecutor:
                 self._inflight.pop(chunk_id, None)
             # Any surviving idle worker should pick up queued chunks the
             # dead one will never take.
-            for survivor in self._links:
-                if survivor.alive:
-                    self._drain_pending(survivor)
+            self._place_pending()
         if was_alive:
             link.close()
         if chunk_id is not None:

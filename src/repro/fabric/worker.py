@@ -83,6 +83,9 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
 
     def handle(self) -> None:  # noqa: D102 - protocol method
         worker: "FabricWorker" = self.server.fabric_worker
+        # ACK and RESULT are small back-to-back writes; without this,
+        # Nagle plus the scheduler's delayed ACK stalls every chunk.
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         reader = self.request.makefile("rb")
         write_lock = threading.Lock()
         stop_beats = threading.Event()

@@ -24,10 +24,13 @@ mirroring the paper's /proc-based measurements (point D in Figure 1).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import errno as errno_module
+import math
 import os
 import signal
+import threading
 import time
 from collections import Counter
 
@@ -102,6 +105,73 @@ class _PidState:
     whitelisted: bool = True
 
 
+class _Watchdog:
+    """SIGKILLs root tracees whose run outlives its deadline.
+
+    The supervise loop checks its deadline only between blocking
+    ``waitpid`` calls, so a tracee asleep inside one syscall would never
+    reach it. Killing the root tracee wakes the loop, which then sees
+    the deadline and kills the rest of the tree. Signals go through a
+    pidfd, so a recycled pid is never hit. One daemon thread serves
+    every run: a thread started per run cost about a tenth of a traced
+    ``/bin/echo``'s CPU time. Without pidfd support (pre-5.3 kernels,
+    strict seccomp filters) nothing is armed.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        #: pidfd -> monotonic deadline, for every run being watched.
+        self._deadlines: dict[int, float] = {}
+        #: When the thread next wakes on its own; earlier deadlines
+        #: notify it, later ones (the usual case) cost no wakeup.
+        self._wake_at = math.inf
+        self._thread: "threading.Thread | None" = None
+
+    def arm(self, pid: int, timeout_s: float) -> "int | None":
+        """Watch *pid*; returns the handle :meth:`disarm` takes."""
+        try:
+            pidfd = os.pidfd_open(pid)
+        except OSError:
+            return None
+        deadline = time.monotonic() + timeout_s
+        with self._cond:
+            self._deadlines[pidfd] = deadline
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._serve, daemon=True,
+                    name="loupe-ptrace-watchdog",
+                )
+                self._thread.start()
+            elif deadline < self._wake_at:
+                self._cond.notify()
+        return pidfd
+
+    def disarm(self, pidfd: "int | None") -> None:
+        if pidfd is not None:
+            with self._cond:
+                self._deadlines.pop(pidfd, None)
+            os.close(pidfd)  # after the lock: no signal is in flight on it
+
+    def _serve(self) -> None:
+        with self._cond:
+            while True:
+                now = time.monotonic()
+                for pidfd, deadline in list(self._deadlines.items()):
+                    if deadline <= now:
+                        del self._deadlines[pidfd]
+                        with contextlib.suppress(ProcessLookupError):
+                            signal.pidfd_send_signal(pidfd, signal.SIGKILL)
+                self._wake_at = min(self._deadlines.values(), default=math.inf)
+                self._cond.wait(
+                    None if self._wake_at == math.inf else self._wake_at - now
+                )
+
+
+_WATCHDOG = _Watchdog()
+# A forked child has no watchdog thread, and may hold its lock mid-use.
+os.register_at_fork(after_in_child=_WATCHDOG.__init__)
+
+
 class SyscallTracer:
     """Trace one command tree under an interposition policy."""
 
@@ -140,10 +210,17 @@ class SyscallTracer:
             mem_peak_kb=0,
             duration_s=0.0,
         )
+        watch = _WATCHDOG.arm(child, self.timeout_s)
         try:
             self._supervise(child, outcome, started)
         finally:
+            _WATCHDOG.disarm(watch)
             outcome.duration_s = time.monotonic() - started
+        # A lone root the watchdog killed empties the tree before the
+        # loop can look at its deadline.
+        if outcome.term_signal == signal.SIGKILL \
+                and outcome.duration_s >= self.timeout_s:
+            outcome.timed_out = True
         return outcome
 
     # -- child side ----------------------------------------------------------

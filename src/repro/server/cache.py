@@ -6,9 +6,7 @@ owns the store (the same ``--run-cache`` file its own jobs inherit)
 and exposes it over HTTP (``GET/PUT /cache/<key>``, ``POST
 /cache/lookup``); :class:`CacheService` is the in-process half of
 that surface: serialized store access plus **cross-process
-single-flight** — the fleet-wide form of the per-process claim
-protocol :class:`repro.core.cachestore.singleflight.SingleFlightStore`
-implements for threads.
+single-flight**, the one claim protocol in the system.
 
 The claim protocol over HTTP: a client that misses may ask for the
 key's *claim* (``?claim=1``). The first claimant is told "miss, the

@@ -16,6 +16,15 @@ from repro.appsim.corpus import cloud_apps, corpus, seven_apps
 from repro.core.analyzer import Analyzer, AnalyzerConfig
 
 
+def pytest_configure(config):
+    for marker, meaning in (
+        ("e2e", "drives the real CLI end to end in subprocesses"),
+        ("ptrace", "needs ptrace(2); skipped where it is not permitted"),
+        ("slow", "takes seconds rather than milliseconds"),
+    ):
+        config.addinivalue_line("markers", f"{marker}: {meaning}")
+
+
 def pytest_collection_modifyitems(config, items):
     from repro.ptracer.ctypes_bindings import ptrace_works
 

@@ -406,7 +406,7 @@ class TestSessionIntegration:
 
 
 class TestRuncacheShim:
-    def test_legacy_import_is_jsonl_backend(self):
-        from repro.core.runcache import RunCacheStore
-
-        assert RunCacheStore is JsonlRunCache
+    def test_legacy_import_is_jsonl_backend(self, tmp_path):
+        """The historical JSONL store is the package's JsonlRunCache,
+        which ``open_store`` picks for a ``.jsonl`` path."""
+        assert type(open_store(tmp_path / "runs.jsonl")) is JsonlRunCache

@@ -4,8 +4,8 @@ Covers the wire store (:class:`RemoteRunCache` against a live
 :class:`CampaignServer`), the fleet-wide single-flight claim protocol
 (each cold key executes once per claim window no matter how many
 clients stampede it), TTL expiry on the local backends that the
-served store builds on, and the in-process
-:class:`SingleFlightStore` / :class:`CacheService` primitives.
+served store builds on, and the in-process :class:`CacheService`
+claim core.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.cli import main
 from repro.core.cachestore import (
     CacheStoreError,
     RemoteRunCache,
-    SingleFlightStore,
     open_store,
 )
 from repro.core.cachestore.factory import parse_store_path, store_identity
@@ -244,51 +243,6 @@ class TestTTLCli:
 # -- in-process primitives ---------------------------------------------------
 
 
-class TestSingleFlightStore:
-    def test_claim_then_publish_coalesces_waiters(self, tmp_path):
-        inner = open_store(tmp_path / "runs.jsonl")
-        with SingleFlightStore(inner) as store:
-            assert store.get(KEY) is None  # the claim is ours
-            assert store.claims_granted == 1
-            seen = []
-
-            def waiter():
-                seen.append(store.get(KEY))
-
-            thread = threading.Thread(target=waiter)
-            thread.start()
-            time.sleep(0.05)
-            store.put(KEY, _result())
-            thread.join(timeout=10.0)
-            assert seen and seen[0].to_dict() == _result().to_dict()
-            assert store.coalesced == 1
-
-    def test_expired_lease_transfers_the_claim(self, tmp_path):
-        inner = open_store(tmp_path / "runs.jsonl")
-        with SingleFlightStore(inner, lease_s=0.05) as store:
-            assert store.get(KEY) is None
-            time.sleep(0.1)
-            # The holder never published; the next miss inherits.
-            assert store.get(KEY) is None
-            assert store.claims_granted == 2
-
-    def test_close_wakes_waiters(self, tmp_path):
-        inner = open_store(tmp_path / "runs.jsonl")
-        store = SingleFlightStore(inner, lease_s=30.0)
-        assert store.get(KEY) is None
-        finished = threading.Event()
-
-        def waiter():
-            store.get(KEY)
-            finished.set()
-
-        thread = threading.Thread(target=waiter, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        store.close()
-        assert finished.wait(5.0)
-
-
 class TestCacheServiceUnit:
     def test_claim_grant_and_publish(self, tmp_path):
         service = CacheService(open_store(tmp_path / "runs.jsonl"))
@@ -320,6 +274,26 @@ class TestCacheServiceUnit:
             assert service.counters()["claims_granted"] == 2
         finally:
             service.close()
+
+    def test_close_wakes_blocked_claim_waiter(self, tmp_path):
+        service = CacheService(
+            open_store(tmp_path / "runs.jsonl"), lease_s=30.0
+        )
+        assert service.fetch(KEY, claim=True) == (None, True)
+        finished = threading.Event()
+
+        def waiter():
+            try:
+                service.fetch(KEY, claim=True, wait_s=30.0)
+            finally:
+                finished.set()
+
+        thread = threading.Thread(target=waiter, daemon=True)
+        thread.start()
+        time.sleep(0.05)
+        assert not finished.is_set()  # parked on the open claim
+        service.close()
+        assert finished.wait(5.0)
 
     def test_lookup_is_claimless(self, tmp_path):
         service = CacheService(open_store(tmp_path / "runs.jsonl"))

@@ -16,7 +16,14 @@ from repro.appsim.backend import SimBackend
 from repro.appsim.behavior import abort, breaks_core, fallback, harmless, ignore
 from repro.appsim.program import SimProgram, SyscallOp, WorkloadProfile
 from repro.core.analyzer import Analyzer, AnalyzerConfig
-from repro.core.engine import EngineStats, ProbeEngine
+from repro.core.engine import EngineStats, ProbeEngine, _execute_chunk
+from repro.core.faults import (
+    FAULT_WORKER_CRASH,
+    FaultPolicy,
+    PoolRecoveredNotice,
+    ProbeFaultError,
+    ProbeRunError,
+)
 from repro.core.policy import (
     Action,
     InterpositionPolicy,
@@ -560,6 +567,132 @@ class TestProbeBatch:
         assert not outcomes[0].all_succeeded
         assert outcomes[1].all_succeeded
         assert outcomes[1].replica_count == 3
+
+
+class _FakeTransport:
+    """An in-memory chunk transport: no processes, no sockets.
+
+    Executes each queued job on the calling thread, in submission
+    order, unless the script says the worker holding it died (*dies*)
+    or every chunk raises (*fails*).
+    """
+
+    width = 1
+
+    def __init__(self, dies=lambda chunk: False, fails=None):
+        self.dies = dies
+        self.fails = fails
+        self.chunks = []  # every submitted chunk, as (probe, replica) runs
+        self.queue = []
+        self.closed = False
+
+    def submit(self, job):
+        self.chunks.append([(probe, replica) for probe, replica, _ in job[2]])
+        self.queue.append((len(self.chunks), job))
+        return len(self.chunks)
+
+    def next_events(self):
+        chunk_id, job = self.queue.pop(0)
+        if self.fails is not None:
+            return [("failed", chunk_id, self.fails)]
+        if self.dies(self.chunks[chunk_id - 1]):
+            return [("lost", chunk_id, ConnectionError("worker died"))]
+        return [("done", chunk_id, _execute_chunk(*job))]
+
+    def close(self):
+        self.closed = True
+
+
+class TestChunkScheduler:
+    """The one chunk scheduler behind the process and remote executors,
+    driven through :class:`_FakeTransport` with scripted worker deaths."""
+
+    POLICIES = [
+        stubbing("close"), faking("close"), stubbing("uname"), faking("prctl"),
+    ]
+
+    def _run(self, monkeypatch, transport, **knobs):
+        engine = ProbeEngine(
+            parallel=2, executor="process", cache=False, **knobs
+        )
+        monkeypatch.setattr(engine, "_chunk_transport", lambda mode: transport)
+        outcomes = engine.run_probe_batch(
+            SimBackend(_mixed_program()), benchmark("b", "m"),
+            self.POLICIES, 3, early_exit=False,
+        )
+        stats = engine.stats
+        assert stats.runs_requested == (
+            stats.runs_executed + stats.cache_hits
+            + stats.replicas_skipped + stats.faulted
+        ), stats
+        return outcomes, stats
+
+    def _serial(self):
+        return ProbeEngine(cache=False).run_probe_batch(
+            SimBackend(_mixed_program()), benchmark("b", "m"),
+            self.POLICIES, 3, early_exit=False,
+        )
+
+    def test_lost_runs_requeue_as_singleton_chunks(self, monkeypatch):
+        first = []
+
+        def dies(chunk):  # the worker holding the first chunk dies once
+            if not first:
+                first.append(chunk)
+                return True
+            return False
+
+        notices = []
+        transport = _FakeTransport(dies)
+        outcomes, stats = self._run(
+            monkeypatch, transport, on_notice=notices.append
+        )
+        lost = transport.chunks[0]
+        assert len(lost) > 1
+        assert transport.chunks[-len(lost):] == [[run] for run in lost]
+        assert [
+            n.lost_runs for n in notices if isinstance(n, PoolRecoveredNotice)
+        ] == [len(lost)]
+        assert stats.faulted == 0
+        assert [o.results for o in outcomes] == [
+            o.results for o in self._serial()
+        ]
+
+    def test_exhausted_budget_quarantines_one_worker_crash(self, monkeypatch):
+        poison = (1, 2)  # kills every worker that runs it
+        transport = _FakeTransport(lambda chunk: poison in chunk)
+        outcomes, stats = self._run(monkeypatch, transport, fault_policy=(
+            FaultPolicy(retries=1, retry_backoff_s=0.0, on_fault="degrade")
+        ))
+        # The first send, then retries + 1 singleton re-sends.
+        assert sum(poison in chunk for chunk in transport.chunks) == 3
+        assert [
+            (fault.kind, fault.replica, fault.attempts)
+            for fault in outcomes[1].faults
+        ] == [(FAULT_WORKER_CRASH, 2, 3)]
+        assert stats.faulted == 1
+        serial = self._serial()
+        assert outcomes[1].results == serial[1].results[:2]
+        for probe in (0, 2, 3):
+            assert outcomes[probe].results == serial[probe].results
+
+    def test_exhausted_budget_raises_under_fail(self, monkeypatch):
+        transport = _FakeTransport(lambda chunk: (1, 2) in chunk)
+        with pytest.raises(ProbeFaultError) as excinfo:
+            self._run(monkeypatch, transport, fault_policy=FaultPolicy(
+                retries=1, retry_backoff_s=0.0, on_fault="fail",
+            ))
+        assert excinfo.value.fault.kind == FAULT_WORKER_CRASH
+        assert excinfo.value.fault.attempts == 3
+        assert transport.closed
+
+    def test_failed_chunk_reraises_its_exception(self, monkeypatch):
+        error = ProbeRunError("the backend raised inside the chunk")
+        transport = _FakeTransport(fails=error)
+        with pytest.raises(ProbeRunError) as excinfo:
+            self._run(monkeypatch, transport)
+        assert excinfo.value is error
+        assert transport.closed
 
 
 class TestEngineLifecycle:

@@ -13,25 +13,11 @@ import pytest
 
 from repro.api.session import AnalysisRequest, LoupeSession
 from repro.appsim.corpus import build
+from repro.core.cachestore import JsonlRunCache
 from repro.core.engine import EngineStats, ProbeEngine
 from repro.core.policy import stubbing
-from repro.core.runcache import RunCacheStore
 from repro.core.runner import ResourceUsage, RunResult
 from repro.core.workload import benchmark
-
-
-def test_runcache_shim_import_warns_deprecation():
-    """The compatibility shim points callers at repro.core.cachestore."""
-    import importlib
-    import sys
-
-    sys.modules.pop("repro.core.runcache", None)
-    try:
-        with pytest.warns(DeprecationWarning, match="cachestore"):
-            importlib.import_module("repro.core.runcache")
-    finally:
-        # Leave the module importable for everyone else.
-        importlib.import_module("repro.core.runcache")
 
 
 def _result(metric=100.0, success=True):
@@ -62,54 +48,54 @@ class TestRunResultSerialization:
 class TestRunCacheStore:
     def test_round_trip_across_instances(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        store = RunCacheStore(path)
+        store = JsonlRunCache(path)
         assert store.get(KEY) is None
         store.put(KEY, _result())
         assert store.get(KEY) == _result()
-        reopened = RunCacheStore(path)
+        reopened = JsonlRunCache(path)
         assert reopened.get(KEY) == _result()
         assert len(reopened) == 1
         assert reopened.loaded_records == 1
 
     def test_missing_file_is_empty(self, tmp_path):
-        store = RunCacheStore(tmp_path / "nowhere" / "runs.jsonl")
+        store = JsonlRunCache(tmp_path / "nowhere" / "runs.jsonl")
         assert len(store) == 0
         store.put(KEY, _result())  # creates parent directories
-        assert RunCacheStore(store.path).get(KEY) is not None
+        assert JsonlRunCache(store.path).get(KEY) is not None
 
     def test_torn_final_line_tolerated(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        with RunCacheStore(path) as store:
+        with JsonlRunCache(path) as store:
             store.put(KEY, _result())
             store.put(KEY[:3] + (1,), _result(metric=200.0))
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"backend": "sim:app-1.0", "work')  # killed mid-append
-        survivor = RunCacheStore(path)
+        survivor = JsonlRunCache(path)
         assert len(survivor) == 2
         assert survivor.get(KEY) == _result()
 
     def test_duplicate_key_last_writer_wins(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        store = RunCacheStore(path)
+        store = JsonlRunCache(path)
         store.put(KEY, _result(metric=1.0))
         store.put(KEY, _result(metric=2.0))
-        assert RunCacheStore(path).get(KEY).metric == 2.0
+        assert JsonlRunCache(path).get(KEY).metric == 2.0
 
     def test_identical_put_does_not_grow_file(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        store = RunCacheStore(path)
+        store = JsonlRunCache(path)
         store.put(KEY, _result())
         size = path.stat().st_size
         store.put(KEY, _result())
         assert path.stat().st_size == size
 
     def test_close_idempotent_and_reopens(self, tmp_path):
-        store = RunCacheStore(tmp_path / "runs.jsonl")
+        store = JsonlRunCache(tmp_path / "runs.jsonl")
         store.put(KEY, _result())
         store.close()
         store.close()
         store.put(KEY[:3] + (1,), _result())  # reopens transparently
-        assert len(RunCacheStore(store.path)) == 2
+        assert len(JsonlRunCache(store.path)) == 2
 
 
 class _CountingBackend:
@@ -128,7 +114,7 @@ class _CountingBackend:
 
 class TestEnginePersistence:
     def test_cold_engine_answers_from_store(self, tmp_path):
-        store = RunCacheStore(tmp_path / "runs.jsonl")
+        store = JsonlRunCache(tmp_path / "runs.jsonl")
         workload = benchmark("b", "m")
         writer_backend = _CountingBackend()
         with ProbeEngine(store=store) as writer:
@@ -137,7 +123,7 @@ class TestEnginePersistence:
         assert writer.stats.persistent_hits == 0
 
         reader_backend = _CountingBackend()
-        with ProbeEngine(store=RunCacheStore(store.path)) as reader:
+        with ProbeEngine(store=JsonlRunCache(store.path)) as reader:
             reader.run_replicas(reader_backend, workload, stubbing("close"), 3)
         assert reader_backend.calls == 0
         stats = reader.stats
@@ -148,13 +134,13 @@ class TestEnginePersistence:
         assert stats.persistent_hit_rate == pytest.approx(1.0)
 
     def test_lru_promotion_counts_disk_hit_once(self, tmp_path):
-        store = RunCacheStore(tmp_path / "runs.jsonl")
+        store = JsonlRunCache(tmp_path / "runs.jsonl")
         workload = benchmark("b", "m")
         with ProbeEngine(store=store) as writer:
             writer.run(writer_backend := _CountingBackend(), workload,
                        stubbing("close"))
         assert writer_backend.calls == 1
-        with ProbeEngine(store=RunCacheStore(store.path)) as reader:
+        with ProbeEngine(store=JsonlRunCache(store.path)) as reader:
             for _ in range(3):
                 reader.run(_CountingBackend(), workload, stubbing("close"))
         stats = reader.stats
@@ -166,7 +152,7 @@ class TestEnginePersistence:
         class _Undeclared(_CountingBackend):
             deterministic = False
 
-        store = RunCacheStore(tmp_path / "runs.jsonl")
+        store = JsonlRunCache(tmp_path / "runs.jsonl")
         with ProbeEngine(store=store) as engine:
             engine.run_replicas(_Undeclared(), benchmark("b", "m"),
                                 stubbing("close"), 2)
@@ -174,7 +160,7 @@ class TestEnginePersistence:
         assert not store.path.exists()
 
     def test_reset_keeps_store(self, tmp_path):
-        store = RunCacheStore(tmp_path / "runs.jsonl")
+        store = JsonlRunCache(tmp_path / "runs.jsonl")
         workload = benchmark("b", "m")
         with ProbeEngine(store=store) as engine:
             engine.run(_CountingBackend(), workload, stubbing("close"))
@@ -256,8 +242,8 @@ class TestSessionCampaigns:
                 config=AnalyzerConfig(run_cache=special_path),
             )
         # The override went to its own file, the default to the other.
-        assert RunCacheStore(default_path).loaded_records > 0
-        assert RunCacheStore(special_path).loaded_records > 0
+        assert JsonlRunCache(default_path).loaded_records > 0
+        assert JsonlRunCache(special_path).loaded_records > 0
 
     def test_cache_off_rejects_persistent_store(self, tmp_path):
         from repro.core.analyzer import AnalyzerConfig
@@ -267,7 +253,7 @@ class TestSessionCampaigns:
         with pytest.raises(ValueError, match="cache=True"):
             AnalyzerConfig(cache=False, run_cache=path)
         with pytest.raises(ValueError, match="cache=True"):
-            ProbeEngine(cache=False, store=RunCacheStore(path))
+            ProbeEngine(cache=False, store=JsonlRunCache(path))
         from repro.cli import main
         assert main(["analyze", "--app", "weborf", "--workload", "health",
                      "--no-cache", "--run-cache", path]) == 2
@@ -283,7 +269,7 @@ class TestSessionCampaigns:
             )
             stats = session.last_engine_stats
         assert stats.cache_hits == 0
-        assert not RunCacheStore(path).loaded_records  # store not fed
+        assert not JsonlRunCache(path).loaded_records  # store not fed
 
     def test_cli_run_cache_flag(self, tmp_path, capsys):
         from repro.cli import main

@@ -13,6 +13,8 @@ unreachable.
 from __future__ import annotations
 
 import json
+import socket
+import time
 
 import pytest
 
@@ -231,6 +233,39 @@ class TestLostChunkReenqueue:
         assert any(
             isinstance(n, PoolRecoveredNotice) for n in notices
         )
+
+
+class _NodelayProbeHandler(_ConnectionHandler):
+    """Records the accepted socket's TCP_NODELAY once the handshake is
+    done, then serves chunks as usual."""
+
+    seen: "list[int]" = []
+
+    def _chunk_loop(self, worker, reader, send) -> None:
+        self.seen.append(
+            self.request.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+        super()._chunk_loop(worker, reader, send)
+
+
+class TestWire:
+    def test_both_ends_disable_nagle(self):
+        """Small ACK/RESULT/CHUNK frames must not wait on Nagle's
+        algorithm and the peer's delayed ACK."""
+        _NodelayProbeHandler.seen.clear()
+        with _flaky_worker(_NodelayProbeHandler) as worker, \
+                FabricExecutor([worker.address]) as executor:
+            (link,) = executor._links
+            assert link.sock.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+            deadline = time.monotonic() + 5.0
+            while not _NodelayProbeHandler.seen \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert _NodelayProbeHandler.seen and all(
+                _NodelayProbeHandler.seen
+            )
 
 
 class TestConnectionErrors:

@@ -7,6 +7,7 @@ sub-feature decoding, and resource sampling.
 """
 
 import sys
+import time
 
 import pytest
 
@@ -97,12 +98,15 @@ class TestFaking:
 
 class TestTimeoutAndWhitelist:
     def test_timeout_kills_hung_process(self):
+        """The timeout bounds a tracee blocked inside one syscall."""
+        started = time.monotonic()
         outcome = _trace(
             passthrough(),
             [sys.executable, "-c", "import time; time.sleep(60)"],
             timeout_s=1.5,
         )
         assert outcome.timed_out
+        assert time.monotonic() - started < 3.0
 
     def test_whitelist_excludes_other_binaries(self):
         """Syscalls from non-whitelisted binaries are not attributed
