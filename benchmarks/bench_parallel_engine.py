@@ -5,14 +5,19 @@ Loupe amortizes its run cost over a parallelism factor ``p``. This
 bench makes ``p`` observable in our reproduction, across all three
 executors and both cache tiers:
 
-* **thread speedup** — the seven-app corpus is analyzed once with the
-  seed's strictly-serial semantics (``parallel=1``, cache and
-  early-exit off) and once with the threaded engine (``parallel=4``
-  replica fan-out plus 4 app-level jobs). Simulated runs complete in
-  microseconds, so each run is padded with a small sleep modeling real
-  workload wall time (the paper quotes 4 minutes to 1.5 days per
-  analysis — run latency, not scheduler CPU, is what threads hide).
-* **process speedup** — the same corpus with run cost modeled as
+* **thread speedup** *(synthetic)* — the seven-app corpus is analyzed
+  once with the seed's strictly-serial semantics (``parallel=1``,
+  cache and early-exit off) and once with the default ``auto``
+  executor (``parallel=4`` replica fan-out plus 4 app-level jobs).
+  Simulated runs complete in microseconds, so each run is padded with
+  a small sleep modeling real workload wall time (the paper quotes 4
+  minutes to 1.5 days per analysis — run latency, not scheduler CPU,
+  is what threads hide); ``auto`` must pick threads for it.
+* **auto on raw appsim** — the same corpus without padding: ``auto``
+  at ``parallel=4`` must resolve to serial and execute exactly the
+  serial run count. Asserted on counts, not wall time.
+* **process speedup** *(synthetic)* — the same corpus with run cost
+  modeled as
   *GIL-bound compute*: a process-local lock stands in for the GIL, so
   in-process worker threads serialize exactly as pure-Python compute
   does, while worker processes proceed independently. The measured
@@ -156,7 +161,8 @@ def _analyze_corpus(
     parallel, jobs, cache, early_exit,
     executor="auto", wrap=_TimedBackend,
 ):
-    """Analyze every app with fresh wrapped backends; returns (results, stats)."""
+    """Analyze every app with fresh wrapped backends; returns (results,
+    summed stats, the set of executors the backends' runs got)."""
 
     def one(app):
         analyzer = Analyzer(AnalyzerConfig(
@@ -168,16 +174,17 @@ def _analyze_corpus(
             backend, app.workload(workload_name),
             app=app.name, app_version=app.version,
         )
-        return result, analyzer.engine.stats
+        return result, analyzer.engine.stats, analyzer.engine.mode_for(backend)
 
     if jobs == 1:
-        pairs = [one(app) for app in apps]
+        rows = [one(app) for app in apps]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(one, apps))
-    results = [result for result, _ in pairs]
-    totals = sum((stats for _, stats in pairs), EngineStats())
-    return results, totals
+            rows = list(pool.map(one, apps))
+    results = [result for result, _, _ in rows]
+    totals = sum((stats for _, stats, _ in rows), EngineStats())
+    modes = {mode for _, _, mode in rows}
+    return results, totals, modes
 
 
 def _digest(results):
@@ -187,25 +194,26 @@ def _digest(results):
 def test_parallel_engine_speedup(seven_app_set):
     apps = _reduced(seven_app_set)
     started = time.monotonic()
-    serial_results, serial_stats = _analyze_corpus(
+    serial_results, serial_stats, _ = _analyze_corpus(
         apps, "bench",
         parallel=1, jobs=1, cache=False, early_exit=False,
     )
     serial_s = time.monotonic() - started
 
     started = time.monotonic()
-    parallel_results, parallel_stats = _analyze_corpus(
+    parallel_results, parallel_stats, modes = _analyze_corpus(
         apps, "bench",
         parallel=PARALLEL, jobs=PARALLEL, cache=True, early_exit=True,
     )
     parallel_s = time.monotonic() - started
     speedup = serial_s / parallel_s
 
-    print(f"\n=== Thread sharding: {len(apps)}-app corpus (bench) ===")
+    print(f"\n=== [synthetic] Thread sharding: {len(apps)}-app corpus "
+          f"(bench) ===")
     print(f"run cost model: {RUN_COST_S * 1000:.1f} ms of latency per run")
     print(f"serial   (p=1, no cache, no early-exit): {serial_s:6.2f}s  "
           f"[{serial_stats.describe()}]")
-    print(f"threads  (p={PARALLEL}, {PARALLEL} jobs, cache, early-exit): "
+    print(f"auto     (p={PARALLEL}, {PARALLEL} jobs, cache, early-exit): "
           f"{parallel_s:6.2f}s  [{parallel_stats.describe()}]")
     print(f"speedup: {speedup:.2f}x")
     model = estimated_runtime_s(1.0, 40, replicas=3, parallel=1) / \
@@ -213,6 +221,7 @@ def test_parallel_engine_speedup(seven_app_set):
     print(f"(paper model predicts {model:.0f}x from replica fan-out alone)")
 
     _RESULTS["thread"] = {
+        "synthetic": True,
         "apps": len(apps),
         "serial_s": round(serial_s, 3),
         "thread_s": round(parallel_s, 3),
@@ -221,6 +230,8 @@ def test_parallel_engine_speedup(seven_app_set):
     }
     # The engine only reschedules runs — it must not change conclusions.
     assert _digest(parallel_results) == _digest(serial_results)
+    # Runs that wait off the CPU are what auto hands to threads.
+    assert modes == {"thread"}, modes
     # The acceptance point: >= 2x wall-clock at parallelism 4.
     floor = 2.0 if len(apps) == len(seven_app_set) else 1.3
     assert speedup >= floor, f"only {speedup:.2f}x at parallel={PARALLEL}"
@@ -230,13 +241,13 @@ def test_process_shard_speedup(seven_app_set):
     """Process sharding must beat the PR 1 thread path >= 2x on
     GIL-bound run cost, without changing a byte of any report."""
     apps = _reduced(seven_app_set)
-    serial_results, _ = _analyze_corpus(
+    serial_results, _, _ = _analyze_corpus(
         apps, "bench",
         parallel=1, jobs=1, cache=True, early_exit=True, wrap=None,
     )
 
     started = time.monotonic()
-    thread_results, thread_stats = _analyze_corpus(
+    thread_results, thread_stats, _ = _analyze_corpus(
         apps, "bench",
         parallel=PARALLEL, jobs=1, cache=True, early_exit=True,
         executor="thread", wrap=_GilBoundBackend,
@@ -244,7 +255,7 @@ def test_process_shard_speedup(seven_app_set):
     thread_s = time.monotonic() - started
 
     started = time.monotonic()
-    process_results, process_stats = _analyze_corpus(
+    process_results, process_stats, _ = _analyze_corpus(
         apps, "bench",
         parallel=PARALLEL, jobs=1, cache=True, early_exit=True,
         executor="process", wrap=_GilBoundBackend,
@@ -252,7 +263,8 @@ def test_process_shard_speedup(seven_app_set):
     process_s = time.monotonic() - started
     speedup = thread_s / process_s
 
-    print(f"\n=== Process sharding: {len(apps)}-app corpus, GIL-bound "
+    print(f"\n=== [synthetic] Process sharding: {len(apps)}-app corpus, "
+          f"GIL-bound "
           f"cost ({RUN_COST_S * 1000:.1f} ms/run) ===")
     print(f"threads   (p={PARALLEL}): {thread_s:6.2f}s  "
           f"[{thread_stats.describe()}]")
@@ -261,6 +273,7 @@ def test_process_shard_speedup(seven_app_set):
     print(f"process-over-thread speedup: {speedup:.2f}x")
 
     _RESULTS["process"] = {
+        "synthetic": True,
         "apps": len(apps),
         "thread_s": round(thread_s, 3),
         "process_s": round(process_s, 3),
@@ -275,6 +288,36 @@ def test_process_shard_speedup(seven_app_set):
     assert speedup >= floor, (
         f"process sharding only {speedup:.2f}x over threads"
     )
+
+
+def test_auto_serial_on_raw_appsim(seven_app_set):
+    """Unpadded appsim runs never leave the CPU, so ``auto`` at
+    parallel=4 must settle on serial and execute exactly the runs a
+    serial campaign executes (counts, not wall time)."""
+    apps = _reduced(seven_app_set)
+    serial_results, serial_stats, _ = _analyze_corpus(
+        apps, "bench",
+        parallel=1, jobs=1, cache=True, early_exit=True, wrap=None,
+    )
+    auto_results, auto_stats, modes = _analyze_corpus(
+        apps, "bench",
+        parallel=PARALLEL, jobs=1, cache=True, early_exit=True, wrap=None,
+    )
+
+    print(f"\n=== auto on raw appsim: {len(apps)}-app corpus (bench) ===")
+    print(f"serial       : [{serial_stats.describe()}]")
+    print(f"auto (p={PARALLEL}) : [{auto_stats.describe()}] -> "
+          f"{', '.join(sorted(modes))}")
+
+    _RESULTS["auto_raw_appsim"] = {
+        "apps": len(apps),
+        "executors": sorted(modes),
+        "serial_runs_executed": serial_stats.runs_executed,
+        "auto_runs_executed": auto_stats.runs_executed,
+    }
+    assert _digest(auto_results) == _digest(serial_results)
+    assert modes == {"serial"}, modes
+    assert auto_stats == serial_stats
 
 
 @pytest.mark.parametrize("store_kind", ["jsonl", "sqlite"])

@@ -716,12 +716,7 @@ class LoupeSession:
         profile unless *support_csv* points at a syscall-support CSV.
         """
         from repro.appsim.corpus import cloud_apps, corpus
-        from repro.plans import (
-            SupportState,
-            generate_plan,
-            requirements_for_all,
-            table1_states,
-        )
+        from repro.plans import SupportState, generate_plan, table1_states
 
         if apps == "cloud":
             app_models = cloud_apps()
@@ -729,7 +724,7 @@ class LoupeSession:
             app_models = corpus()
         else:
             app_models = list(apps)
-        requirements = requirements_for_all(app_models, workload)
+        requirements = self._plan_requirements(app_models, workload)
         if support_csv:
             state = SupportState.load(support_csv, os_name=os_name)
         else:
@@ -739,7 +734,7 @@ class LoupeSession:
             cloud_requirements = (
                 requirements
                 if apps == "cloud"
-                else requirements_for_all(cloud_apps(), workload)
+                else self._plan_requirements(cloud_apps(), workload)
             )
             states = table1_states(cloud_requirements)
             if os_name not in states:
@@ -749,6 +744,44 @@ class LoupeSession:
                 )
             state = states[os_name]
         return generate_plan(state, requirements)
+
+    def _plan_requirements(
+        self, app_models: Sequence, workload: str
+    ) -> dict:
+        """The planner's requirement records for *app_models*, by name.
+
+        An app this session already analyzed under the planner's
+        semantics (:data:`~repro.plans.requirements.PLANNER_REPLICAS`
+        replicas, every other semantic field at its default) is read
+        from the loupedb; only the rest are analyzed, by
+        :func:`~repro.plans.requirements.requirements_for_all`, whose
+        records never enter the session database.
+        """
+        from repro.plans import AppRequirements, requirements_for_all
+        from repro.plans.requirements import PLANNER_REPLICAS
+
+        semantics = _config_semantics(
+            AnalyzerConfig(replicas=PLANNER_REPLICAS)
+        )
+        known: dict[str, AppRequirements] = {}
+        missing = []
+        for app in app_models:
+            key = _target_record_key(
+                AnalysisRequest.for_app(app, workload).target
+            )
+            with self._lock:
+                result = (
+                    self._database.get(key)
+                    if key in self._database
+                    and self._semantics.get(key) == semantics
+                    else None
+                )
+            if result is None:
+                missing.append(app)
+            else:
+                known[app.name] = AppRequirements.from_result(result)
+        known.update(requirements_for_all(missing, workload))
+        return {app.name: known[app.name] for app in app_models}
 
     def query(
         self,

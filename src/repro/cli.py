@@ -1043,6 +1043,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   "remote"),
                          default="auto",
                          help="probe sharding strategy at --jobs > 1: "
+                              "auto times the baseline runs and uses "
+                              "threads only for runs that wait off the "
+                              "CPU (serial otherwise), "
                               "threads overlap run latency, processes "
                               "shard CPU-bound simulated runs past the "
                               "GIL, remote ships chunks to a worker "
@@ -1102,7 +1105,11 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--executor",
                          choices=("auto", "serial", "thread", "process",
                                   "remote"),
-                         default="auto")
+                         default="auto",
+                         help="probe sharding strategy per target at "
+                              "--jobs > 1, as for analyze (auto: "
+                              "threads only for runs that wait off "
+                              "the CPU, serial otherwise)")
     compare.add_argument("--workers", metavar="HOST:PORT[,HOST:PORT...]",
                          default=None,
                          help="worker fleet for --executor remote")
@@ -1380,7 +1387,11 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--executor",
                         choices=("auto", "serial", "thread", "process",
                                  "remote"),
-                        default="auto")
+                        default="auto",
+                        help="probe sharding strategy inside the "
+                             "campaign, as for analyze (auto: threads "
+                             "only for runs that wait off the CPU, "
+                             "serial otherwise)")
     submit.add_argument("--workers", metavar="HOST:PORT[,HOST:PORT...]",
                         default=None,
                         help="worker fleet the job's remote executor "

@@ -19,7 +19,8 @@ workload, the analyzer:
 Every run goes through a :class:`~repro.core.engine.ProbeEngine` — the
 paper's parallelism factor ``p`` made concrete: ``AnalyzerConfig.parallel``
 fans runs over a worker pool (``AnalyzerConfig.executor`` picks thread
-or process sharding), ``AnalyzerConfig.cache`` memoizes run results so
+or process sharding, or lets ``auto`` choose from measured run cost),
+``AnalyzerConfig.cache`` memoizes run results so
 the confirmation/bisection stages reuse probe-phase runs,
 ``AnalyzerConfig.run_cache`` extends that memoization to an on-disk
 store shared across campaigns, and ``AnalyzerConfig.early_exit`` stops
@@ -111,7 +112,10 @@ class AnalyzerConfig:
     #: latency, ``"process"`` shards CPU-bound runs past the GIL for
     #: backends that declare themselves process-safe (others degrade
     #: to threads; non-parallel-safe backends always run serially),
-    #: ``"serial"`` disables sharding, ``"auto"`` means threads.
+    #: ``"serial"`` disables sharding, and ``"auto"`` times the
+    #: baseline runs inline and picks threads only when they spend
+    #: longer off the CPU than a thread handoff costs — serial
+    #: otherwise, as for the CPU-bound appsim simulation.
     executor: str = "auto"
     #: Memoize run results so the combined-run confirmation and the
     #: ddmin bisection never re-execute a run the probe phase paid for.

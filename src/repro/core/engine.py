@@ -10,8 +10,12 @@ analyzer's implicit run loop into an explicit scheduler that
   ``"thread"`` overlaps run *latency* on a ``ThreadPoolExecutor``
   (enough for I/O-bound real workloads), and ``"process"`` and
   ``"remote"`` shard CPU-bound runs past the GIL for backends that
-  declare themselves process-safe (``"auto"`` picks serial at
-  ``parallel=1`` and threads otherwise). The last two share one chunk
+  declare themselves process-safe. ``"auto"`` measures instead of
+  assuming: at ``parallel > 1`` the first scheduling call for a
+  backend runs inline and times each run, and the backend gets threads
+  only when its runs spend longer off the CPU than a thread-pool
+  handoff costs (:meth:`ProbeEngine.mode_for`) — CPU-bound runs, such
+  as the appsim simulation, stay serial. The last two share one chunk
   scheduler (:meth:`ProbeEngine._dispatch_chunks`) over two
   transports: the process-wide ``ProcessPoolExecutor``
   (:class:`_ProcessTransport`) and a TCP worker fleet
@@ -83,9 +87,11 @@ from __future__ import annotations
 import atexit
 import concurrent.futures
 import dataclasses
+import functools
 import itertools
 import multiprocessing
 import threading
+import time
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from concurrent.futures.process import BrokenProcessPool
@@ -128,6 +134,10 @@ EXECUTORS = ("auto", "serial", "thread", "process", "remote")
 #: Target chunks per transport worker: enough slack for the workers to
 #: load-balance, few enough that per-chunk transfer stays negligible.
 _CHUNKS_PER_WORKER = 8
+
+#: No-op round trips through a thread pool that
+#: :func:`_thread_handoff_s` times; their median is the handoff cost.
+_HANDOFF_TRIPS = 9
 
 #: The process-wide shared worker pools (see :func:`_shared_process_pool`
 #: and :func:`_shared_thread_pool`). Starting worker processes is the
@@ -227,6 +237,55 @@ def _shared_thread_pool(width: int) -> concurrent.futures.Executor:
             _THREAD_POOL = _new_thread_pool(width)
             _THREAD_POOL_WIDTH = width
         return _THREAD_POOL
+
+
+@functools.cache
+def _thread_handoff_s() -> float:
+    """What handing one run to a pool thread and collecting it costs,
+    in seconds.
+
+    Measured once per process as the median of a few no-op round
+    trips; it is the least a run must spend off the CPU — waiting,
+    which other threads can overlap — for threads to pay off. The
+    trips go through a private one-thread pool, so runs queued on the
+    shared probe pool by other engines cannot inflate the figure.
+    """
+    trips = []
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(int).result()  # start the thread outside the timing
+        for _ in range(_HANDOFF_TRIPS):
+            start = time.perf_counter()
+            pool.submit(int).result()
+            trips.append(time.perf_counter() - start)
+    return sorted(trips)[len(trips) // 2]
+
+
+class _RunTimer:
+    """Stands in for a backend while ``auto`` measures it.
+
+    Records each completed run's off-CPU time — wall clock minus the
+    CPU time of the thread that ran it — which is the only part of a
+    run a GIL-bound thread pool can overlap. Timing on the executing
+    thread keeps a fault policy's timeout thread out of the figure.
+    """
+
+    def __init__(self, backend: ExecutionBackend) -> None:
+        self._backend = backend
+        self.off_cpu_s: list[float] = []
+
+    def run(
+        self,
+        workload: Workload,
+        policy: InterpositionPolicy,
+        *,
+        replica: int = 0,
+    ) -> RunResult:
+        wall, cpu = time.perf_counter(), time.thread_time()
+        result = self._backend.run(workload, policy, replica=replica)
+        self.off_cpu_s.append(
+            (time.perf_counter() - wall) - (time.thread_time() - cpu)
+        )
+        return result
 
 
 def shutdown_process_pool() -> None:
@@ -501,7 +560,9 @@ class ProbeEngine:
         over a ``ProcessPoolExecutor`` (full CPU scaling, for backends
         passing :func:`~repro.core.runner.process_shardable` —
         others degrade to threads), ``"serial"`` disables sharding
-        outright, and ``"auto"`` (the default) means threads.
+        outright, and ``"auto"`` (the default) picks serial or threads
+        per backend from the measured cost of its first runs (see
+        :meth:`mode_for`).
     cache:
         Enable run-result memoization. Disabling it forces every
         request through the backend (useful for benchmarking the raw
@@ -606,6 +667,9 @@ class ProbeEngine:
         #: id(backend) -> (backend, process_shardable(backend)); same
         #: id-pinning contract as the capability cache.
         self._shard_verdicts: dict[int, tuple[object, bool]] = {}
+        #: id(backend) -> (backend, "serial" | "thread"): what ``auto``
+        #: settled on for the backend; same id-pinning contract.
+        self._auto_verdicts: dict[int, tuple[object, str]] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -614,10 +678,12 @@ class ProbeEngine:
         """The resolved sharding strategy
         (``serial``/``thread``/``process``/``remote``).
 
-        Per-backend capability fallback can still demote an individual
-        scheduling call below this (see :meth:`run_probe_batch`).
-        ``remote`` resolves regardless of ``parallel`` — fleet width
-        comes from the worker count, not this engine's thread budget.
+        Per-backend capability fallback, and ``auto``'s per-backend
+        cost measurement, can still demote an individual scheduling
+        call below this (see :meth:`mode_for`); ``auto`` resolves to
+        ``thread`` here, the most it may pick. ``remote`` resolves
+        regardless of ``parallel`` — fleet width comes from the worker
+        count, not this engine's thread budget.
         """
         if self.executor == "remote":
             return "remote"
@@ -681,15 +747,10 @@ class ProbeEngine:
         legacy backends goes through the attribute shim and its
         deprecation warning. Cleared on :meth:`reset`.
         """
-        with self._lock:
-            cached = self._capability_cache.get(id(backend))
-        if cached is not None and cached[0] is backend:
-            return cached[1]
-        capabilities = capabilities_of(backend)
-        with self._lock:
-            # The strong backend reference keeps the id stable for the
-            # descriptor's lifetime (cleared on reset).
-            self._capability_cache[id(backend)] = (backend, capabilities)
+        capabilities = self._verdict(self._capability_cache, backend)
+        if capabilities is None:
+            capabilities = capabilities_of(backend)
+            self._remember(self._capability_cache, backend, capabilities)
         return capabilities
 
     def mode_for(self, backend: ExecutionBackend) -> str:
@@ -704,31 +765,72 @@ class ProbeEngine:
         thread pool rather than failing inside it. The (potentially
         costly) pickle check runs once per backend object, not once
         per scheduling call — the verdict cannot change mid-analysis.
+
+        ``auto`` gives a parallel-safe backend threads only when they
+        can overlap something: the backend's first scheduling call
+        that executes runs (the analyzer's passthrough baseline) runs
+        inline, timing each run, and threads win only if the smallest
+        off-CPU time per run exceeds a thread-pool handoff (measured
+        once per process). Until that call has measured, the backend
+        runs serially.
         """
+        mode = self._mode(backend)
+        return "serial" if mode == "measure" else mode
+
+    def _mode(self, backend: ExecutionBackend) -> str:
+        """:meth:`mode_for`, or ``"measure"`` while ``auto`` has no
+        verdict for *backend* yet."""
         kind = self.executor_name
         if kind == "serial":
             return "serial"
         capabilities = self.capabilities_for(backend)
         if not capabilities.parallel_safe:
             return "serial"
+        if self.executor == "auto":
+            return self._verdict(self._auto_verdicts, backend) or "measure"
         if kind in ("process", "remote"):
             # Both ship the backend as a pickle — to a pool child or
             # over a socket — so both need the same shardable verdict.
-            with self._lock:
-                cached = self._shard_verdicts.get(id(backend))
-            if cached is not None and cached[0] is backend:
-                shardable = cached[1]
-            else:
+            shardable = self._verdict(self._shard_verdicts, backend)
+            if shardable is None:
                 shardable = process_shardable(
                     backend, capabilities=capabilities
                 )
-                with self._lock:
-                    # The strong backend reference keeps the id stable
-                    # for the verdict's lifetime (cleared on reset).
-                    self._shard_verdicts[id(backend)] = (backend, shardable)
+                self._remember(self._shard_verdicts, backend, shardable)
             if not shardable:
                 return "thread" if self.parallel > 1 else "serial"
         return kind
+
+    def _verdict(self, verdicts: dict, backend: ExecutionBackend):
+        """*backend*'s memoized entry in *verdicts*, or ``None``."""
+        with self._lock:
+            cached = verdicts.get(id(backend))
+        if cached is not None and cached[0] is backend:
+            return cached[1]
+        return None
+
+    def _remember(
+        self, verdicts: dict, backend: ExecutionBackend, verdict
+    ) -> None:
+        with self._lock:
+            # The strong backend reference keeps the id stable for the
+            # verdict's lifetime (cleared on reset).
+            verdicts[id(backend)] = (backend, verdict)
+
+    def _settle_auto(
+        self, backend: ExecutionBackend, timer: _RunTimer
+    ) -> None:
+        """Record ``auto``'s choice for *backend* from *timer*'s runs
+        (no executed run, e.g. all cache hits: still undecided)."""
+        if not timer.off_cpu_s:
+            return
+        off_cpu = min(timer.off_cpu_s)
+        # A run that never left the CPU beats no handoff, so pure
+        # computation settles on serial without measuring one.
+        overlaps = off_cpu > 0 and off_cpu > _thread_handoff_s()
+        self._remember(
+            self._auto_verdicts, backend, "thread" if overlaps else "serial"
+        )
 
     # -- accounting --------------------------------------------------------
 
@@ -760,6 +862,7 @@ class ProbeEngine:
             self._cache.clear()
             self._capability_cache.clear()
             self._shard_verdicts.clear()
+            self._auto_verdicts.clear()
             self._requested = 0
             self._executed = 0
             self._hits = 0
@@ -909,9 +1012,11 @@ class ProbeEngine:
         workload: Workload,
         policy: InterpositionPolicy,
         replica: int,
+        timer: "_RunTimer | None" = None,
     ) -> "RunResult | ProbeFault":
         """Lookup-or-execute without touching ``runs_requested`` (the
         scheduling entry points account for requests up front).
+        Executed runs go through *timer* when ``auto`` is measuring.
 
         Returns the quarantine record instead of a result when the run
         exhausted its fault budget under ``on_fault="degrade"`` (the
@@ -924,12 +1029,13 @@ class ProbeEngine:
             hit = self._lookup(key)
             if hit is not None:
                 return hit
+        runner = backend if timer is None else timer
         fault_policy = self.fault_policy
         if fault_policy is None or not fault_policy.active:
-            result = backend.run(workload, policy, replica=replica)
+            result = runner.run(workload, policy, replica=replica)
             self._record(key, result, policy)
             return result
-        outcome = guarded_run(backend, workload, policy, replica, fault_policy)
+        outcome = guarded_run(runner, workload, policy, replica, fault_policy)
         self._notify_retries(
             workload, policy, replica, outcome.failures,
             recovered=outcome.result is not None,
@@ -990,14 +1096,18 @@ class ProbeEngine:
             raise ValueError("need at least one replica")
         if not policies:
             return []
-        mode = self.mode_for(backend)
-        if mode == "serial":
-            return [
+        mode = self._mode(backend)
+        if mode in ("serial", "measure"):
+            timer = _RunTimer(backend) if mode == "measure" else None
+            outcomes = [
                 self._serial_probe(
-                    backend, workload, policy, replicas, early_exit
+                    backend, workload, policy, replicas, early_exit, timer
                 )
                 for policy in policies
             ]
+            if timer is not None:
+                self._settle_auto(backend, timer)
+            return outcomes
         return self._pooled_batch(
             mode, backend, workload, policies, replicas, early_exit
         )
@@ -1011,13 +1121,14 @@ class ProbeEngine:
         policy: InterpositionPolicy,
         replicas: int,
         early_exit: bool,
+        timer: "_RunTimer | None" = None,
     ) -> ProbeOutcome:
         with self._lock:
             self._requested += replicas
         results: list[RunResult] = []
         faults: list[ProbeFault] = []
         for index in range(replicas):
-            out = self._one(backend, workload, policy, index)
+            out = self._one(backend, workload, policy, index, timer)
             if isinstance(out, ProbeFault):
                 # A fault is not a decision — later replicas still run
                 # (one of them may observe a genuine failure, which

@@ -57,9 +57,15 @@ class AppRequirements:
 
 _REQUIREMENTS_CACHE: dict[tuple[str, str, str], AppRequirements] = {}
 
+#: Replicas per probe of the planner's own analyses.
+PLANNER_REPLICAS = 3
+
 
 def requirements_for(
-    app: App, workload_name: str = "bench", *, replicas: int = 3
+    app: App,
+    workload_name: str = "bench",
+    *,
+    replicas: int = PLANNER_REPLICAS,
 ) -> AppRequirements:
     """Analyze one app (memoized) and return its requirement record."""
     key = (app.name, app.version, workload_name)

@@ -571,6 +571,59 @@ class TestPlan:
         plan = LoupeSession().plan(os_name="unikraft", apps=apps)
         assert {step.app for step in plan.steps} <= {"redis", "nginx"}
 
+    @pytest.fixture
+    def counted_runs(self, monkeypatch):
+        """Every SimBackend run from here on, counted, with the
+        planner's process-wide memo emptied before and after."""
+        from repro.plans import clear_cache
+
+        runs = []
+        real = SimBackend.run
+
+        def counting(backend, workload, policy, *, replica=0):
+            runs.append(backend.name)
+            return real(backend, workload, policy, replica=replica)
+
+        clear_cache()
+        monkeypatch.setattr(SimBackend, "run", counting)
+        yield runs
+        clear_cache()
+
+    def test_plan_reuses_the_session_records(self, counted_runs):
+        """Apps the session analyzed under the planner's semantics are
+        planned from the loupedb: no backend run, the same plan."""
+        from repro.appsim.corpus import cloud_apps
+        from repro.plans import clear_cache, render_plan
+
+        session = LoupeSession()
+        session.analyze_many(cloud_apps())
+        analyzed = len(counted_runs)
+        plan = session.plan(apps="cloud")
+        assert len(counted_runs) == analyzed
+        clear_cache()
+        fresh = LoupeSession().plan(apps="cloud")
+        assert len(counted_runs) > analyzed  # the fresh plan analyzed
+        assert render_plan(plan) == render_plan(fresh)
+
+    def test_plan_keeps_records_of_other_semantics(self, counted_runs):
+        """A replicas=5 session's records answer nothing for the
+        replicas=3 planner, and survive its analyses untouched."""
+        from repro.plans import clear_cache, render_plan
+
+        apps = [build("redis"), build("nginx")]
+        session = LoupeSession(config=AnalyzerConfig(replicas=5))
+        own = [session.analyze(app) for app in apps]
+        analyzed = len(counted_runs)
+        plan = session.plan(apps=apps)
+        assert len(counted_runs) > analyzed
+        assert len(session.database) == len(own)
+        for result in own:
+            assert session.database.get(RecordKey.of(result)) is result
+            assert result.replicas == 5
+        clear_cache()
+        fresh = LoupeSession().plan(apps=apps)
+        assert render_plan(plan) == render_plan(fresh)
+
 
 class TestStudyWrappers:
     """study.base delegates to a module-default session."""

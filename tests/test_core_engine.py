@@ -242,7 +242,8 @@ class TestEarlyExit:
                 return super().run(workload, policy, replica=replica)
 
         backend = _ExplodingBackend()
-        with ProbeEngine(parallel=3, cache=False) as engine:
+        with ProbeEngine(parallel=3, cache=False, executor="thread") \
+                as engine:
             with pytest.raises(RuntimeError, match="blew up"):
                 engine.run_replicas(
                     backend, benchmark("b", "m"), stubbing("close"), 3
@@ -255,7 +256,8 @@ class TestEarlyExit:
 
     def test_parallel_failure_still_conservative(self):
         backend = _CountingBackend(failing_features={"close"})
-        with ProbeEngine(parallel=3, cache=False) as engine:
+        with ProbeEngine(parallel=3, cache=False, executor="thread") \
+                as engine:
             outcome = engine.run_replicas(
                 backend, benchmark("b", "m"), stubbing("close"), 3
             )
@@ -354,8 +356,10 @@ class TestAnalyzerIntegration:
         )
         for knobs in (
             dict(parallel=1, cache=True, early_exit=True),
-            dict(parallel=4, cache=True, early_exit=True),
-            dict(parallel=4, cache=False, early_exit=False),
+            dict(parallel=4, cache=True, early_exit=True,
+                 executor="thread"),
+            dict(parallel=4, cache=False, early_exit=False,
+                 executor="thread"),
         ):
             variant, _ = self._analyze(_mixed_program(), workload, **knobs)
             assert _result_json(variant) == _result_json(serial), knobs
@@ -367,7 +371,7 @@ class TestAnalyzerIntegration:
         )
         parallel, _ = self._analyze(
             _conflicting_program(), health_check("health"),
-            parallel=4, cache=True,
+            parallel=4, cache=True, executor="thread",
         )
         assert _result_json(parallel) == _result_json(serial)
         assert parallel.conflicts
@@ -475,7 +479,8 @@ class TestStatsInvariant:
     def test_parallel_early_exit_race(self):
         for _ in range(10):
             backend = self._SlowFailingBackend()
-            with ProbeEngine(parallel=4, cache=False) as engine:
+            with ProbeEngine(parallel=4, cache=False, executor="thread") \
+                    as engine:
                 outcome = engine.run_replicas(
                     backend, benchmark("b", "m"), stubbing("close"), 6
                 )
@@ -495,7 +500,8 @@ class TestStatsInvariant:
         ]
         for knobs in scenarios:
             engine = ProbeEngine(
-                parallel=knobs["parallel"], cache=knobs["cache"]
+                parallel=knobs["parallel"], cache=knobs["cache"],
+                executor="thread",
             )
             with engine:
                 backend = _CountingBackend(failing_features={"close"})
@@ -509,7 +515,8 @@ class TestStatsInvariant:
 
     def test_batch_invariant_with_cached_failures(self):
         backend = _CountingBackend(failing_features={"close"})
-        with ProbeEngine(parallel=4, cache=True) as engine:
+        with ProbeEngine(parallel=4, cache=True, executor="thread") \
+                as engine:
             policies = [stubbing("close"), stubbing("uname"),
                         stubbing("prctl")]
             engine.run_probe_batch(
@@ -550,7 +557,8 @@ class TestProbeBatch:
     def test_parallel_batch_outcomes_in_policy_order(self):
         policies = [stubbing("uname"), stubbing("close"), stubbing("prctl")]
         backend = _CountingBackend(failing_features={"close"})
-        with ProbeEngine(parallel=4, cache=False) as engine:
+        with ProbeEngine(parallel=4, cache=False, executor="thread") \
+                as engine:
             outcomes = engine.run_probe_batch(
                 backend, benchmark("b", "m"), policies, 2
             )
@@ -560,7 +568,8 @@ class TestProbeBatch:
         """One probe's failure must not skip another probe's replicas."""
         policies = [stubbing("close"), stubbing("uname")]
         backend = _CountingBackend(failing_features={"close"})
-        with ProbeEngine(parallel=2, cache=False) as engine:
+        with ProbeEngine(parallel=2, cache=False, executor="thread") \
+                as engine:
             outcomes = engine.run_probe_batch(
                 backend, benchmark("b", "m"), policies, 3
             )
@@ -701,7 +710,7 @@ class TestEngineLifecycle:
 
         engine_module.shutdown_worker_pools()
         try:
-            engine = ProbeEngine(parallel=2, cache=False)
+            engine = ProbeEngine(parallel=2, cache=False, executor="thread")
             engine.run_replicas(
                 _CountingBackend(), benchmark("b", "m"), stubbing("close"), 2
             )
@@ -728,7 +737,7 @@ class TestEngineLifecycle:
 
         engine_module.shutdown_worker_pools()
         try:
-            wide = ProbeEngine(parallel=8, cache=False)
+            wide = ProbeEngine(parallel=8, cache=False, executor="thread")
             wide.run_replicas(
                 _CountingBackend(), benchmark("b", "m"), stubbing("close"), 8
             )
@@ -752,7 +761,7 @@ class TestEngineLifecycle:
                             self.in_flight -= 1
 
             backend = _ConcurrencyProbe()
-            narrow = ProbeEngine(parallel=2, cache=False)
+            narrow = ProbeEngine(parallel=2, cache=False, executor="thread")
             narrow.run_probe_batch(
                 backend, benchmark("b", "m"),
                 [stubbing("close"), stubbing("uname"), stubbing("prctl")],
@@ -786,7 +795,7 @@ class TestEngineLifecycle:
         monkeypatch.setattr(engine_module, "_shared_thread_pool", flaky)
         try:
             backend = _CountingBackend()
-            engine = ProbeEngine(parallel=2, cache=False)
+            engine = ProbeEngine(parallel=2, cache=False, executor="thread")
             outcomes = engine.run_probe_batch(
                 backend, benchmark("b", "m"),
                 [stubbing("close"), stubbing("uname")], 2,
@@ -810,15 +819,18 @@ class TestEngineLifecycle:
         try:
             backend = SimBackend(_mixed_program())
             workload = benchmark("b", "m")
-            with ProbeEngine(parallel=2, cache=False) as one:
+            with ProbeEngine(parallel=2, cache=False, executor="thread") \
+                    as one:
                 one.run_replicas(backend, workload, stubbing("close"), 2)
                 first = engine_module._THREAD_POOL
             assert first is not None  # close() left the shared pool alone
-            with ProbeEngine(parallel=2, cache=False) as two:
+            with ProbeEngine(parallel=2, cache=False, executor="thread") \
+                    as two:
                 two.run_replicas(backend, workload, stubbing("close"), 2)
                 assert engine_module._THREAD_POOL is first
                 assert two._pool("thread") is one._pool("thread")
-            with ProbeEngine(parallel=4, cache=False) as wide:
+            with ProbeEngine(parallel=4, cache=False, executor="thread") \
+                    as wide:
                 wide.run_replicas(backend, workload, stubbing("close"), 4)
                 grown = engine_module._THREAD_POOL
                 assert grown is not first
@@ -840,7 +852,8 @@ class TestEngineLifecycle:
     def test_analyzer_context_manager_closes_engine(self):
         from repro.core import engine as engine_module
 
-        with Analyzer(AnalyzerConfig(parallel=2)) as analyzer:
+        with Analyzer(AnalyzerConfig(parallel=2, executor="thread")) \
+                as analyzer:
             analyzer.analyze(
                 SimBackend(_mixed_program()), health_check("health")
             )
@@ -856,7 +869,8 @@ class TestEngineLifecycle:
 
     def test_executor_name_resolution(self):
         assert ProbeEngine().executor_name == "serial"
-        assert ProbeEngine(parallel=4).executor_name == "thread"
+        assert ProbeEngine(parallel=4, executor="thread").executor_name \
+            == "thread"
         assert ProbeEngine(parallel=4, executor="serial").executor_name \
             == "serial"
         assert ProbeEngine(parallel=4, executor="process").executor_name \

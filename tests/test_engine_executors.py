@@ -13,15 +13,19 @@ module pins that contract two ways:
 
 It also covers the capability-fallback ladder: non-parallel-safe
 backends serialize, declared-but-unpicklable backends degrade from
-processes to threads.
+processes to threads — and ``"auto"``, which measures a backend's
+first runs and picks threads only for runs that wait off the CPU.
 """
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.events import EngineStatsEvent
+from repro.api.session import AnalysisRequest, LoupeSession
 from repro.appsim.backend import SimBackend
 from repro.appsim.behavior import (
     abort,
@@ -32,12 +36,17 @@ from repro.appsim.behavior import (
     ignore,
     safe_default,
 )
-from repro.appsim.corpus import seven_apps
+from repro.appsim.corpus import build, seven_apps
 from repro.appsim.program import SimProgram, SyscallOp, WorkloadProfile
+from repro.core import engine as engine_module
 from repro.core.analyzer import Analyzer, AnalyzerConfig
 from repro.core.engine import ProbeEngine
 from repro.core.policy import stubbing
-from repro.core.runner import process_shardable
+from repro.core.runner import (
+    BackendCapabilities,
+    capabilities_of,
+    process_shardable,
+)
 from repro.core.workload import benchmark, health_check
 from repro.db import Database
 from repro.fabric.worker import FabricWorker
@@ -134,7 +143,7 @@ class TestExecutorEquivalenceCorpus:
     def test_thread_and_process_match_serial(self, corpus_reference):
         apps, reference = corpus_reference
         reference_payload = _database_payload(reference)
-        for executor in ("thread", "process"):
+        for executor in ("thread", "process", "auto"):
             results = [_analyze_app(app, executor) for app in apps]
             for left, right in zip(reference, results):
                 assert _digest(left) == _digest(right), (left.app, executor)
@@ -230,3 +239,103 @@ class TestCapabilityFallback:
         assert process_shardable(backend)
         backend.process_safe = False
         assert not process_shardable(backend)
+
+
+class _Sleepy:
+    """Wraps a backend so every run also waits 3 ms off the CPU."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.name = inner.name
+
+    def capabilities(self):
+        return capabilities_of(self._inner)
+
+    def run(self, workload, policy, *, replica=0):
+        time.sleep(0.003)
+        return self._inner.run(workload, policy, replica=replica)
+
+
+class _SleepyUnsafe(_Sleepy):
+    """The same waiting runs, from a backend that is not parallel-safe."""
+
+    def capabilities(self):
+        return BackendCapabilities(deterministic=True)
+
+
+def _observed(app, executor, wrap=None):
+    """One analysis of *app*: its report digest, its event stream as
+    ``--events jsonl`` lines (the engine_stats event and wall-clock
+    durations left out) and its engine_stats event."""
+    events = []
+    backend = app.backend() if wrap is None else wrap(app.backend())
+    with Analyzer(AnalyzerConfig(
+        parallel=1 if executor == "serial" else 2, executor=executor,
+    )) as analyzer:
+        result = analyzer.analyze(
+            backend, app.workload("bench"),
+            app=app.name, app_version=app.version, on_event=events.append,
+        )
+    lines = [
+        json.dumps({
+            key: value for key, value in event.to_dict().items()
+            if key != "duration_s"
+        })
+        for event in events if not isinstance(event, EngineStatsEvent)
+    ]
+    (stats,) = [e for e in events if isinstance(e, EngineStatsEvent)]
+    return _digest(result), lines, stats
+
+
+class TestAutoExecutor:
+    @pytest.mark.parametrize("wrap, expected, timed", [
+        (None, "serial", 1),      # appsim: pure computation
+        (_Sleepy, "thread", 1),   # runs that wait overlap on threads
+        (_SleepyUnsafe, "serial", 0),  # not parallel-safe: never timed
+    ])
+    def test_auto_resolution(self, monkeypatch, wrap, expected, timed):
+        """``auto`` at parallel=2 times the baseline of a parallel-safe
+        backend once, settles on the executor its runs call for, and
+        changes nothing else: the report and the event stream match a
+        serial analysis, and a serial pick executes the serial runs."""
+        timers = []
+        real = engine_module._RunTimer
+
+        def counting(backend):
+            timers.append(backend)
+            return real(backend)
+
+        app = build("sqlite")
+        digest, lines, stats = _observed(app, "serial", wrap)
+        monkeypatch.setattr(engine_module, "_RunTimer", counting)
+        auto_digest, auto_lines, auto_stats = _observed(app, "auto", wrap)
+        assert auto_stats.executor == expected
+        assert len(timers) == timed
+        assert auto_digest == digest
+        assert auto_lines == lines
+        if expected == "serial":
+            assert auto_stats == stats
+
+    def test_auto_stays_serial_under_app_concurrency(self):
+        """Two analyses sharing the interpreter wait on each other for
+        the GIL; that wait must not read as off-CPU time."""
+
+        def campaign(jobs, config):
+            stats = {}
+
+            def record(event):
+                if isinstance(event, EngineStatsEvent):
+                    stats[event.app] = event
+
+            session = LoupeSession(config=config, on_event=record)
+            session.analyze_many(
+                [AnalysisRequest.for_app(app) for app in seven_apps()],
+                jobs=jobs,
+            )
+            return stats
+
+        serial = campaign(1, AnalyzerConfig())
+        auto = campaign(2, AnalyzerConfig(parallel=2))
+        assert {event.executor for event in auto.values()} == {"serial"}
+        assert {app: event.runs_executed for app, event in auto.items()} \
+            == {app: event.runs_executed for app, event in serial.items()}
