@@ -26,6 +26,25 @@ Semantics:
 Metric noise is deterministic: a hash of (app, workload, policy,
 replica) drives a small relative perturbation, so replicated runs have
 realistic but perfectly reproducible variance.
+
+Compiled plans. A probe policy alters one or a few features, so almost
+every op of a run behaves as it does under passthrough. On first use,
+each ``(program, features exercised)`` pair compiles into a
+:class:`_Plan`: the ops that workload runs, an index from feature key
+(syscall, ``syscall:OP``, pseudo-file path) to op positions, and a
+lazily filled memo of the passthrough trace each op range leaves. A
+run reacts only at the ops ``policy.altered_features()`` reaches and
+adds the memoized trace of the ranges between them, so results equal
+the op-by-op walk, floats bit for bit. Invariants:
+
+* ``traced`` and ``pseudo_files`` keep the walk's insertion order
+  (``RunResult.to_dict()`` writes it into the JSONL run cache): a
+  range is cut wherever a fallback may insert keys, and at an abort;
+* the memo holds immutable tuples only, and every run gets fresh
+  counters, so concurrent runs filling the same memo (idempotent
+  writes) never share state;
+* the memo is not pickled: a backend shipped to a worker process is
+  the same size cold or warm, and the worker rebuilds plans lazily.
 """
 
 from __future__ import annotations
@@ -69,11 +88,75 @@ class _RunState:
     mem_frac: float = 0.0
 
 
+class _Plan:
+    """The ops one workload runs, indexed by the features that alter them.
+
+    ``ops`` is the program with the ``when`` filter applied. Every
+    feature key (a syscall, a ``syscall:OP``, a pseudo-file path) maps
+    to the positions of the ops it may alter, and the passthrough trace
+    of any op range is memoized as insertion-ordered item tuples.
+    """
+
+    def __init__(self, ops: tuple[SyscallOp, ...], exercised: frozenset[str]) -> None:
+        self.ops = tuple(op for op in ops if op.when is None or op.when & exercised)
+        by_feature: dict[str, list[int]] = {}
+        by_path: dict[str, list[int]] = {}
+        for position, op in enumerate(self.ops):
+            by_feature.setdefault(op.syscall, []).append(position)
+            if op.subfeature is not None:
+                by_feature.setdefault(op.qualified, []).append(position)
+            if op.path is not None and is_pseudo_path(op.path):
+                by_path.setdefault(op.path, []).append(position)
+        self._by_feature = {key: tuple(at) for key, at in by_feature.items()}
+        self._by_path = tuple((path, tuple(at)) for path, at in by_path.items())
+        self._deltas: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+
+    def affected(self, altered: frozenset[str]) -> list[int]:
+        """Ascending positions of the ops a policy altering *altered*
+        may act on. A superset is harmless: such an op's action
+        resolves to ``PASSTHROUGH`` in :meth:`SimProcess._react`."""
+        positions: set[int] = set()
+        for feature in altered:
+            if feature.startswith("/"):
+                nested = feature.rstrip("/") + "/"
+                for path, at in self._by_path:
+                    if path == feature or path.startswith(nested):
+                        positions.update(at)
+            else:
+                positions.update(self._by_feature.get(feature, ()))
+        return sorted(positions)
+
+    def trace(self, start: int, end: int, state: _RunState) -> None:
+        """Add the trace ``ops[start:end]`` leave in *state*, memoized
+        per range as ``(traced, pseudo_files)`` item tuples."""
+        key = (start, end)
+        delta = self._deltas.get(key)
+        if delta is None:
+            scratch = _RunState()
+            for op in self.ops[start:end]:
+                SimProcess._trace(op, scratch)
+            delta = (tuple(scratch.traced.items()), tuple(scratch.pseudo_files.items()))
+            self._deltas[key] = delta
+        traced, pseudo_files = delta
+        state.traced.update(dict(traced))
+        state.pseudo_files.update(dict(pseudo_files))
+
+
 class SimProcess:
     """Runs one simulated program under one policy."""
 
     def __init__(self, program: SimProgram) -> None:
         self.program = program
+        self._known = program.features | {"core"}
+        self._plans: dict[frozenset[str], _Plan] = {}
+
+    # The plans rebuild lazily, so a pickled process (a backend shipped
+    # in a process or remote chunk) is the same size cold or warm.
+    def __getstate__(self) -> dict:
+        return {"program": self.program}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["program"])
 
     # -- public ------------------------------------------------------------
 
@@ -89,21 +172,17 @@ class SimProcess:
                 f"simulation backend needs a SimWorkload, got {type(workload).__name__}"
             )
         exercised = workload.features_exercised
-        known = self.program.features | {"core"}
-        unknown = exercised - known
+        unknown = exercised - self._known
         if unknown:
             raise WorkloadError(
                 f"workload {workload.name!r} exercises features "
                 f"{sorted(unknown)} unknown to {self.program.name}"
             )
 
-        state = _RunState(health={feature: True for feature in known})
-        for op in self.program.ops:
-            if state.aborted:
-                break
-            if not self._op_runs(op, exercised):
-                continue
-            self._execute(op, policy, state, depth=0)
+        plan = self._plans.get(exercised)
+        if plan is None:
+            plan = self._plans[exercised] = _Plan(self.program.ops, exercised)
+        state = self._evaluate(plan, policy)
 
         success = not state.aborted and all(
             state.health[feature] for feature in exercised
@@ -144,12 +223,30 @@ class SimProcess:
 
     # -- op execution --------------------------------------------------------
 
-    @staticmethod
-    def _op_runs(op: SyscallOp, exercised: frozenset[str]) -> bool:
-        when = getattr(op, "when", None)
-        if when is None:
-            return True
-        return bool(when & exercised)
+    def _evaluate(self, plan: _Plan, policy: InterpositionPolicy) -> _RunState:
+        """Run *plan* under *policy*. Only the ops the policy may alter
+        react to it; every other op adds its memoized passthrough trace.
+
+        An op's own trace does not depend on the policy, so whole op
+        ranges are added at once. A range is cut only where an op may
+        trace a fallback (its keys must land at that point of the run)
+        and where an abort ends the run.
+        """
+        state = _RunState(health=dict.fromkeys(self._known, True))
+        start = 0  # ops[start:] are not traced yet
+        for position in plan.affected(policy.altered_features()):
+            op = plan.ops[position]
+            if op.on_stub.kind is StubKind.FALLBACK:
+                plan.trace(start, position, state)
+                self._execute(op, policy, state, depth=0)
+                start = position + 1
+            else:
+                self._react(op, policy, state, depth=0)
+            if state.aborted:
+                plan.trace(start, position + 1, state)
+                return state
+        plan.trace(start, len(plan.ops), state)
+        return state
 
     def _execute(
         self,
@@ -162,8 +259,17 @@ class SimProcess:
             state.aborted = True
             state.abort_reason = f"fallback chain too deep at {op.qualified}"
             return
-
         self._trace(op, state)
+        self._react(op, policy, state, depth)
+
+    def _react(
+        self,
+        op: SyscallOp,
+        policy: InterpositionPolicy,
+        state: _RunState,
+        depth: int,
+    ) -> None:
+        """Apply *policy*'s action to *op*; the caller traces it."""
         action = self._action_for(op, policy)
         if action is Action.PASSTHROUGH:
             return

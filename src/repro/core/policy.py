@@ -163,7 +163,11 @@ class InterpositionPolicy:
         return dataclasses.replace(self, syscall_actions=merged)
 
     def altered_features(self) -> frozenset[str]:
-        """Every feature this policy stubs or fakes."""
+        """Every feature this policy stubs or fakes (memoized, like
+        :meth:`fingerprint`: every simulated run asks for it)."""
+        cached = self.__dict__.get("_altered")
+        if cached is not None:
+            return cached
         altered = set()
         for mapping in (
             self.syscall_actions,
@@ -171,7 +175,9 @@ class InterpositionPolicy:
             self.pseudofile_actions,
         ):
             altered.update(f for f, a in mapping.items() if a is not Action.PASSTHROUGH)
-        return frozenset(altered)
+        frozen = frozenset(altered)
+        object.__setattr__(self, "_altered", frozen)
+        return frozen
 
     def _shadowing_passthrough(self, kind: str, feature: str) -> bool:
         """Would dropping this explicit PASSTHROUGH entry change lookups?
@@ -230,15 +236,18 @@ class InterpositionPolicy:
         return fingerprint
 
     def describe(self) -> str:
-        """Human-readable one-line summary (used in logs and reports)."""
+        """Human-readable one-line summary (used in logs and reports,
+        and hashed into every simulated run's metric noise; memoized)."""
+        cached = self.__dict__.get("_description")
+        if cached is not None:
+            return cached
         altered = sorted(self.altered_features())
-        if not altered:
-            return "passthrough"
-        parts = [
+        description = ", ".join(
             f"{feature}={self.action_for_feature(feature).value}"
             for feature in altered
-        ]
-        return ", ".join(parts)
+        ) or "passthrough"
+        object.__setattr__(self, "_description", description)
+        return description
 
     # -- serialization ---------------------------------------------------
 

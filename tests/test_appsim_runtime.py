@@ -1,6 +1,13 @@
 """Tests for the simulated process execution semantics."""
 
+import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.appsim.backend import SimBackend
 from repro.appsim.behavior import (
@@ -15,9 +22,17 @@ from repro.appsim.behavior import (
     safe_default,
 )
 from repro.appsim.program import Origin, SimProgram, SyscallOp, WorkloadProfile
-from repro.appsim.runtime import SimProcess, _deterministic_noise
+from repro.appsim.corpus import corpus, seven_apps
+from repro.appsim.runtime import (
+    _MAX_FALLBACK_DEPTH,
+    SimProcess,
+    _deterministic_noise,
+    _RunState,
+)
+from repro.core.analyzer import Analyzer
 from repro.core.policy import Action, combined, faking, passthrough, stubbing
-from repro.core.workload import benchmark, health_check, test_suite
+from repro.core.runner import ResourceUsage, RunResult
+from repro.core.workload import SimWorkload, benchmark, health_check, test_suite
 from repro.errors import BackendError, WorkloadError
 
 
@@ -231,3 +246,287 @@ class TestLibcOriginOps:
     def test_origin_recorded(self):
         op = _op("read", origin=Origin.LIBC)
         assert op.origin is Origin.LIBC
+
+
+# -- compiled plans ------------------------------------------------------------
+
+
+def reference_run(process, workload, policy, *, replica=0):
+    """The op-by-op interpreter compiled plans replaced, kept verbatim as
+    the reference: every op the workload runs goes through
+    ``_execute``, in program order, until an abort."""
+    if not isinstance(workload, SimWorkload):
+        raise BackendError(
+            f"simulation backend needs a SimWorkload, got {type(workload).__name__}"
+        )
+    exercised = workload.features_exercised
+    known = process.program.features | {"core"}
+    unknown = exercised - known
+    if unknown:
+        raise WorkloadError(
+            f"workload {workload.name!r} exercises features "
+            f"{sorted(unknown)} unknown to {process.program.name}"
+        )
+
+    state = _RunState(health={feature: True for feature in known})
+    for op in process.program.ops:
+        if state.aborted:
+            break
+        if not _op_runs(op, exercised):
+            continue
+        process._execute(op, policy, state, depth=0)
+
+    success = not state.aborted and all(
+        state.health[feature] for feature in exercised
+    )
+    failure_reason = None
+    if state.aborted:
+        failure_reason = state.abort_reason
+    elif not success:
+        broken = sorted(f for f in exercised if not state.health[f])
+        failure_reason = f"broken feature(s): {', '.join(broken)}"
+
+    profile = process.program.profile(workload.name)
+    metric = None
+    if workload.measures_performance and profile.metric is not None and success:
+        noise = _deterministic_noise(
+            process.program.name,
+            workload.name,
+            policy.describe(),
+            str(replica),
+            scale=profile.noise,
+        )
+        metric = profile.metric * state.perf_factor * (1.0 + noise)
+
+    resources = ResourceUsage(
+        fd_peak=max(0, round(profile.fd_peak * (1.0 + state.fd_frac))),
+        mem_peak_kb=max(0, round(profile.mem_peak_kb * (1.0 + state.mem_frac))),
+    )
+    return RunResult(
+        success=success,
+        traced=state.traced,
+        pseudo_files=state.pseudo_files,
+        metric=metric,
+        resources=resources,
+        exit_code=0 if success else 1,
+        failure_reason=failure_reason,
+        duration_s=0.0,
+    )
+
+
+def _op_runs(op, exercised):
+    when = getattr(op, "when", None)
+    if when is None:
+        return True
+    return bool(when & exercised)
+
+
+def assert_same_run(actual, expected):
+    """Equal results, and equal key order: ``RunResult.to_dict()``
+    writes the counters in insertion order into the JSONL run cache."""
+    assert actual == expected
+    assert list(actual.traced.items()) == list(expected.traced.items())
+    assert list(actual.pseudo_files.items()) == list(expected.pseudo_files.items())
+    assert actual.to_dict() == expected.to_dict()
+
+
+_CORPUS = corpus()
+#: One process per app for the whole module, so later examples run
+#: against plans and trace ranges earlier examples memoized.
+_PROCESSES = {app.name: SimProcess(app.program) for app in _CORPUS}
+
+
+def _probe_features(program):
+    """Every feature a policy could usefully name for *program*: its
+    syscalls and sub-features (fallback targets included), and each
+    pseudo path with every ancestor prefix, with and without the
+    trailing slash."""
+    features = set()
+    pending = list(program.ops)
+    while pending:
+        op = pending.pop()
+        features.add(op.syscall)
+        features.add(op.qualified)
+        if op.touches_pseudo_file:
+            parts = op.path.strip("/").split("/")
+            for depth in range(1, len(parts) + 1):
+                prefix = "/" + "/".join(parts[:depth])
+                features.update((prefix, prefix + "/"))
+        if op.on_stub.fallback is not None:
+            pending.append(op.on_stub.fallback)
+    return sorted(features)
+
+
+_FEATURES = {app.name: _probe_features(app.program) for app in _CORPUS}
+_ACTIONS = (Action.STUB, Action.FAKE, Action.PASSTHROUGH)
+
+
+def _pick(draw, options):
+    """One of *options*. Integer draws keep example generation cheap:
+    ``sampled_from`` labels every element it is built over."""
+    return options[draw(st.integers(0, len(options) - 1))]
+
+
+@st.composite
+def _campaign_runs(draw):
+    app = _pick(draw, _CORPUS)
+    workload = app.workloads[_pick(draw, sorted(app.workloads))]
+    policy = passthrough()
+    for _ in range(draw(st.integers(1, 5))):
+        policy = policy.with_feature(
+            _pick(draw, _FEATURES[app.name]), _pick(draw, _ACTIONS)
+        )
+    return app.name, workload, policy, draw(st.integers(0, 2))
+
+
+class TestCompiledPlans:
+    @settings(max_examples=1000, deadline=None)
+    @given(_campaign_runs())
+    def test_matches_the_op_by_op_interpreter(self, case):
+        name, workload, policy, replica = case
+        process = _PROCESSES[name]
+        assert_same_run(
+            process.run(workload, policy, replica=replica),
+            reference_run(process, workload, policy, replica=replica),
+        )
+
+    def test_passthrough_shadowing_a_coarser_stub(self):
+        program = _program(
+            [
+                _op("fcntl", subfeature="F_GETFL", on_stub=abort()),
+                _op("fcntl", subfeature="F_SETFD", on_stub=abort()),
+                _op("openat", path="/proc/self/maps", on_stub=abort()),
+                _op("openat", path="/proc/cpuinfo", on_stub=abort()),
+                _op("write"),
+            ]
+        )
+        policy = (
+            stubbing("fcntl")
+            .with_feature("fcntl:F_GETFL", Action.PASSTHROUGH)
+            .with_feature("fcntl:F_SETFD", Action.PASSTHROUGH)
+            .with_feature("/proc", Action.STUB)
+            .with_feature("/proc/self", Action.PASSTHROUGH)
+        )
+        process = SimProcess(program)
+        run = process.run(health_check("health"), policy)
+        assert run.failure_reason == "fatal: openat failed (treated as fatal)"
+        assert list(run.pseudo_files) == ["/proc/self/maps", "/proc/cpuinfo"]
+        assert "write" not in run.traced
+        assert_same_run(run, reference_run(process, health_check("health"), policy))
+
+    def test_abort_mid_plan_truncates_the_trace(self):
+        program = _program(
+            [
+                _op("read", count=2),
+                _op("openat", path="/dev/urandom"),
+                _op("socket", on_stub=abort()),
+                _op("read", count=5),
+                _op("openat", path="/proc/self/stat"),
+                _op("write"),
+            ]
+        )
+        process = SimProcess(program)
+        for _ in range(2):  # cold, then from the memoized ranges
+            run = process.run(health_check("health"), stubbing("socket"))
+            assert run.failure_reason == "fatal: socket failed (treated as fatal)"
+            assert list(run.traced.items()) == [("read", 2), ("openat", 1), ("socket", 1)]
+            assert list(run.pseudo_files.items()) == [("/dev/urandom", 1)]
+            assert_same_run(
+                run,
+                reference_run(process, health_check("health"), stubbing("socket")),
+            )
+
+    def test_stubbing_brk_and_mmap_aborts_through_the_fallback(self):
+        app = next(app for app in _CORPUS if app.name == "redis")
+        process = SimProcess(app.program)
+        policy = combined(stubs=["brk", "mmap"])
+        run = process.run(app.bench, policy)
+        assert not run.success
+        assert run.failure_reason == "fatal: mmap failed (treated as fatal)"
+        assert_same_run(run, reference_run(process, app.bench, policy))
+        alone = process.run(app.bench, stubbing("brk"))
+        assert alone.success
+        assert_same_run(alone, reference_run(process, app.bench, stubbing("brk")))
+
+    def test_fallback_chain_deeper_than_the_guard(self):
+        chain = _op("mmap", on_stub=abort())
+        for _ in range(_MAX_FALLBACK_DEPTH + 3):
+            chain = _op("mmap", on_stub=fallback(chain))
+        program = _program([_op("read"), _op("brk", on_stub=fallback(chain)), _op("write")])
+        process = SimProcess(program)
+        policy = combined(stubs=["brk", "mmap"])
+        run = process.run(health_check("health"), policy)
+        assert run.failure_reason == "fallback chain too deep at mmap"
+        assert list(run.traced.items()) == [
+            ("read", 1), ("brk", 1), ("mmap", _MAX_FALLBACK_DEPTH),
+        ]
+        assert_same_run(run, reference_run(process, health_check("health"), policy))
+
+
+class TestValidationWithCachedPlans:
+    def test_unknown_feature_raises_before_and_after_a_plan(self):
+        process = SimProcess(_program([_op("read")]))
+        bad = test_suite("suite", features=("warp-drive",))
+        with pytest.raises(WorkloadError, match="warp-drive") as first:
+            process.run(bad, passthrough())
+        assert process.run(health_check("health"), passthrough()).success
+        with pytest.raises(WorkloadError) as again:
+            process.run(bad, passthrough())
+        assert str(again.value) == str(first.value)
+
+    def test_wrong_workload_type_raises_before_and_after_a_plan(self):
+        from repro.core.workload import CommandWorkload, WorkloadKind
+
+        process = SimProcess(_program([_op("read")]))
+        command = CommandWorkload(
+            name="x", kind=WorkloadKind.HEALTH_CHECK, argv=("/bin/true",)
+        )
+        with pytest.raises(BackendError) as first:
+            process.run(command, passthrough())
+        assert process.run(health_check("health"), passthrough()).success
+        with pytest.raises(BackendError) as again:
+            process.run(command, passthrough())
+        assert str(again.value) == str(first.value)
+
+
+class TestPlanMemoBoundaries:
+    def test_pickled_backend_does_not_carry_the_memo(self):
+        app = next(app for app in _CORPUS if app.name == "nginx")
+        backend = SimBackend(app.program)
+        cold = len(pickle.dumps(backend))
+        result = Analyzer().analyze(backend, app.bench)
+        assert result.final_run_ok and result.features
+        assert len(pickle.dumps(backend)) == cold
+        clone = pickle.loads(pickle.dumps(backend))
+        assert_same_run(
+            clone.run(app.bench, passthrough()), backend.run(app.bench, passthrough())
+        )
+
+    def test_threads_filling_a_cold_memo_agree_with_serial(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the memo fills finely
+        try:
+            for app in seven_apps():
+                self._race_one_backend(app)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _race_one_backend(app):
+        baseline = SimBackend(app.program).run(app.bench, passthrough())
+        policies = [passthrough(), combined(stubs=["brk", "mmap"])]
+        for feature in sorted(baseline.features(subfeature_level=True)):
+            policies += [stubbing(feature), faking(feature)]
+        serial = [SimBackend(app.program).run(app.bench, p) for p in policies]
+        shared = SimBackend(app.program)
+        barrier = threading.Barrier(4, timeout=30)
+
+        def worker():
+            barrier.wait()
+            return [shared.run(app.bench, p) for p in policies]
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            outcomes = [pool.submit(worker) for _ in range(4)]
+            for outcome in outcomes:
+                for actual, expected in zip(outcome.result(timeout=60), serial, strict=True):
+                    assert_same_run(actual, expected)

@@ -141,6 +141,49 @@ class TestDescribeAndImmutability:
         assert derived.action_for("write") is Action.FAKE
 
 
+class TestMemoizedSummaries:
+    """``altered_features()`` and ``describe()`` are memoized on the
+    frozen policy, like ``fingerprint()``."""
+
+    def _policy(self):
+        return combined(stubs=["futex", "fcntl:F_SETFD"], fakes=["/proc/self"])
+
+    def test_memo_changes_no_identity(self):
+        warm = self._policy()
+        cold = self._policy()
+        warm.altered_features()
+        warm.describe()
+        assert warm == cold
+        assert repr(warm) == repr(cold)
+        assert warm.to_dict() == cold.to_dict()
+        assert warm.fingerprint() == cold.fingerprint()
+
+    def test_repeat_calls_return_the_memo(self):
+        policy = self._policy()
+        assert policy.altered_features() is policy.altered_features()
+        assert policy.describe() is policy.describe()
+        assert policy.describe() == "/proc/self=fake, fcntl:F_SETFD=stub, futex=stub"
+
+    def test_derivative_computes_its_own(self):
+        base = self._policy()
+        assert base.describe() == "/proc/self=fake, fcntl:F_SETFD=stub, futex=stub"
+        derived = base.with_feature("brk", Action.FAKE)
+        assert derived.altered_features() == base.altered_features() | {"brk"}
+        assert derived.describe() == (
+            "/proc/self=fake, brk=fake, fcntl:F_SETFD=stub, futex=stub"
+        )
+        restored = derived.with_feature("brk", Action.PASSTHROUGH)
+        assert restored.altered_features() == base.altered_features()
+        assert restored.describe() == base.describe()
+        assert base.altered_features() == {"futex", "fcntl:F_SETFD", "/proc/self"}
+
+    def test_passthrough_memo(self):
+        policy = passthrough()
+        assert policy.describe() == "passthrough"
+        assert policy.describe() == "passthrough"
+        assert policy.altered_features() == frozenset()
+
+
 class TestFakeStrategies:
     def test_paper_motivated_strategies(self):
         assert fake_strategy("brk") is FakeStrategy.FIRST_ARG
