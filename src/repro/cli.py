@@ -1320,7 +1320,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "job as poisonous (default 3)")
     serve.add_argument("--no-checkpoint", action="store_true",
                        help="disable per-job checkpoint stores "
-                            "(jobs/<id>/runcache.sqlite); resumed "
+                            "(jobs/<id>/runcache.jsonl); resumed "
                             "jobs then re-execute every probe")
     serve.add_argument("--verbose", action="store_true",
                        help="log each HTTP request to stderr")

@@ -80,6 +80,9 @@ class JsonlRunCache:
         self._policies: "dict[StoreKey, dict | None]" = {}
         self._created: "dict[StoreKey, float | None]" = {}
         self._handle = None
+        #: The file ends in a torn fragment with no newline; the first
+        #: append ends it first, so the fragment stays one skipped line.
+        self._torn_tail = False
         self._loaded_records = 0
         self._stale_records = 0
         self._load()
@@ -91,6 +94,7 @@ class JsonlRunCache:
             return
         with self.path.open("r", encoding="utf-8") as handle:
             for line in handle:
+                self._torn_tail = not line.endswith("\n")
                 line = line.strip()
                 if not line:
                     continue
@@ -184,6 +188,9 @@ class JsonlRunCache:
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._handle = self.path.open("a", encoding="utf-8")
+            if self._torn_tail:
+                line = "\n" + line
+                self._torn_tail = False
             self._handle.write(line + "\n")
             self._handle.flush()
 
@@ -272,6 +279,7 @@ class JsonlRunCache:
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(temp, self.path)
+            self._torn_tail = False
             self._stale_records = 0
             bytes_after = self.path.stat().st_size
             return CompactionResult(

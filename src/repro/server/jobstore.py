@@ -10,7 +10,7 @@ submitted over HTTP, owned end-to-end by a lifecycle directory
         meta.json       where the job is in its lifecycle (atomic writes)
         events.jsonl    the campaign's event stream, envelope-wrapped
         report.json     the result, written once on success
-        runcache.sqlite the job's checkpoint store (probe results)
+        runcache.jsonl  the job's checkpoint store (probe results)
 
 mirroring the per-app lifecycle-dir shape of the streamlit-manager
 exemplar the ROADMAP cites (single service, one directory per managed
@@ -64,6 +64,7 @@ wedging the store.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -341,7 +342,7 @@ class JobStore:
     """Filesystem-backed job storage with a lock-guarded state machine.
 
     All mutation goes through :meth:`new_job`, :meth:`transition`,
-    :meth:`heartbeat`, and :meth:`append_event`; reads (:meth:`meta`,
+    :meth:`heartbeat`, and :meth:`event_log`; reads (:meth:`meta`,
     :meth:`spec`, :meth:`read_events`) go straight to disk, so any
     process — the server, a test, an operator's shell — sees the same
     truth. ``meta.json`` writes are atomic (temp file +
@@ -383,10 +384,13 @@ class JobStore:
 
     def checkpoint_path(self, job_id: str) -> Path:
         """The job's private run-cache store — the checkpoint a
-        resumed attempt warms from. SQLite (crash-safe WAL) because a
-        checkpoint that tears under the very crash it exists for
-        would be decoration."""
-        return self.job_dir(job_id) / "runcache.sqlite"
+        resumed attempt warms from. JSONL, because a checkpoint has
+        one writer and no other reader while it is written: a get is a
+        dict lookup and a put one flushed append. A crash tears at
+        most the final line, which the next load skips. Neither this
+        nor SQLite (``synchronous=NORMAL``) fsyncs per record, so both
+        survive a SIGKILL the same way."""
+        return self.job_dir(job_id) / "runcache.jsonl"
 
     # -- creation and reads --------------------------------------------------
 
@@ -588,20 +592,33 @@ class JobStore:
 
     # -- the event log -------------------------------------------------------
 
-    def append_event(self, job_id: str, line: str) -> None:
-        """Append one envelope-wrapped event line and wake waiters.
+    @contextlib.contextmanager
+    def event_log(self, job_id: str):
+        """Hold the job's event log open; yield ``append(line)``.
 
-        One locked open-write-close per line: events are low-rate next
-        to probe runs, and a crashed server can tear at most the final
-        line (readers only surface newline-terminated lines).
+        Each call writes and flushes one whole envelope-wrapped line
+        and wakes waiters. The handle is ``O_APPEND`` and no lock is
+        held: a job has one writer, and a marker another thread
+        appends meanwhile is its own whole-line write. A crashed
+        server tears at most the final line, and readers only surface
+        newline-terminated lines.
         """
-        if not line.endswith("\n"):
-            line += "\n"
-        with self._lock:
-            with open(self.events_path(job_id), "a") as handle:
+        condition = self._condition(job_id)
+        with open(self.events_path(job_id), "a") as handle:
+            def append(line: str) -> None:
+                if not line.endswith("\n"):
+                    line += "\n"
                 handle.write(line)
                 handle.flush()
-        self._notify(job_id)
+                with condition:
+                    condition.notify_all()
+
+            yield append
+
+    def append_event(self, job_id: str, line: str) -> None:
+        """Append one line (a marker, say) through its own handle."""
+        with self.event_log(job_id) as append:
+            append(line)
 
     def append_marker(self, job_id: str, kind: str, **fields: object) -> None:
         """Append one server-side lifecycle marker to the event stream.

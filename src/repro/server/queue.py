@@ -45,9 +45,11 @@ lives in :mod:`repro.server.jobstore`):
   tailing client sees the handoff.
 
 * **Checkpoints.** Jobs whose spec names no run cache of their own
-  get a private one at ``jobs/<id>/runcache.sqlite``; every completed
-  probe is durable the moment it finishes, which is what makes
-  resume-after-crash re-execute only the work that never completed.
+  get a private one at ``jobs/<id>/runcache.jsonl``; every completed
+  probe is one flushed append the moment it finishes, which is what
+  makes resume-after-crash re-execute only the work that never
+  completed. The job's event log is likewise one handle held open for
+  the whole analysis.
 
 * **Admission + drain.** ``max_queue`` bounds accepted-but-unstarted
   work (:class:`QueueFullError` → HTTP 429); :meth:`JobRunner.drain`
@@ -507,9 +509,6 @@ class JobRunner:
         def cancelled() -> bool:
             return cancel_event.is_set() or heartbeat.lost
 
-        def record(event: object) -> None:
-            self.store.append_event(job_id, json.dumps(envelope(event)))
-
         try:
             spec = self.store.spec(job_id)
             config = spec.analyzer_config()
@@ -524,10 +523,11 @@ class JobRunner:
                     config,
                     run_cache=str(self.store.checkpoint_path(job_id)),
                 )
-            with LoupeSession(config=config) as session:
+            with self.store.event_log(job_id) as append, \
+                    LoupeSession(config=config) as session:
                 outcome = session.analyze(
                     spec.request(),
-                    on_event=record,
+                    on_event=lambda event: append(json.dumps(envelope(event))),
                     cancel_check=cancelled,
                     progress_hook=heartbeat,
                 )

@@ -182,6 +182,50 @@ class TestJsonlAccounting:
         assert reopened.get(_key()) == _result(1.0)
 
 
+class TestJsonlTornTail:
+    """A file killed mid-append ends in a fragment with no newline."""
+
+    def _torn_file(self, path):
+        with JsonlRunCache(path) as store:
+            store.put(_key(0), _result(1.0))
+            store.put(_key(1), _result(2.0))
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 20])  # cut record 2 mid-line
+        return path
+
+    def test_record_appended_after_torn_tail_survives_reopen(self, tmp_path):
+        path = self._torn_file(tmp_path / "runs.jsonl")
+        with JsonlRunCache(path) as store:
+            assert store.loaded_records == 1
+            store.put(_key(2), _result(3.0))
+        reopened = JsonlRunCache(path)
+        assert reopened.loaded_records == 2
+        assert reopened.get(_key(0)) == _result(1.0)
+        assert reopened.get(_key(1)) is None  # the torn record stays lost
+        assert reopened.get(_key(2)) == _result(3.0)
+
+    def test_torn_fragment_stays_one_skipped_line(self, tmp_path):
+        path = self._torn_file(tmp_path / "runs.jsonl")
+        fragment = path.read_bytes().split(b"\n")[-1]
+        with JsonlRunCache(path) as store:
+            store.put(_key(2), _result(3.0))
+        lines = path.read_bytes().split(b"\n")
+        assert lines[1] == fragment
+        assert len(lines) == 4 and lines[-1] == b""
+
+    def test_clean_file_gets_no_extra_newline(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        with JsonlRunCache(path) as store:
+            store.put(_key(0), _result(1.0))
+        before = path.read_bytes()
+        with JsonlRunCache(path) as store:
+            store.put(_key(1), _result(2.0))
+        after = path.read_bytes()
+        assert after.startswith(before)
+        assert b"\n\n" not in after
+        assert after.count(b"\n") == 2
+
+
 class TestSqliteStore:
     def test_round_trip_across_instances(self, tmp_path):
         path = tmp_path / "runs.sqlite"

@@ -371,8 +371,8 @@ def _normalize_durations(line):
     if document.get("event") == "store_stats":
         # The run-cache store's identity fields are inherently
         # run-dependent: the server's job checkpoints under
-        # jobs/<id>/runcache.sqlite, the direct run under its own
-        # path, and file sizes track sqlite page allocation.
+        # jobs/<id>/runcache.jsonl, the direct run under its own
+        # path, and file sizes track record timestamps.
         document["path"] = ""
         document["file_bytes"] = 0
     return document
@@ -390,12 +390,12 @@ class TestByteIdentityWithDirectRun:
 
         # The server gives every job a private checkpoint store, which
         # adds one store_stats event to the stream — so the direct
-        # comparison run gets a store of its own, and the store's
+        # comparison run gets a store of the same kind, and the store's
         # identity fields are normalized below.
         spec = JobSpec.from_dict(QUICK_SPEC)
         config = dataclasses.replace(
             spec.analyzer_config(),
-            run_cache=str(tmp_path / "direct.sqlite"),
+            run_cache=str(tmp_path / "direct.jsonl"),
         )
         direct_lines = []
         with LoupeSession(config=config) as session:

@@ -6,7 +6,9 @@ client's transient-retry behavior."""
 import dataclasses
 import json
 import math
+import os
 import shutil
+import sys
 import threading
 import time
 
@@ -22,6 +24,7 @@ from repro.errors import ServiceUnavailableError
 from repro.server import (
     CANCELLED,
     DONE,
+    FAILED,
     QUARANTINED,
     QUEUED,
     RUNNING,
@@ -36,6 +39,7 @@ from repro.server import (
     ServiceClient,
     ServiceError,
     TornMetaError,
+    encode_report,
 )
 from repro.cli import main
 
@@ -310,6 +314,162 @@ class TestCheckpointResume:
             )
             assert not server.store.checkpoint_path(meta["id"]).exists()
 
+    def test_legacy_sqlite_checkpoint_resumes_cold(self, tmp_path):
+        # An orphan left by a server that checkpointed into
+        # runcache.sqlite: nothing reads that file any more, so the
+        # resume re-executes every run and lands the same report.
+        spec = JobSpec.from_dict(QUICK_SPEC)
+        data_dir = tmp_path / "svc"
+        store = JobStore(data_dir)
+        orphan = store.new_job(spec)
+        legacy = store.job_dir(orphan.id) / "runcache.sqlite"
+        config = dataclasses.replace(
+            spec.analyzer_config(), run_cache=str(legacy)
+        )
+        with LoupeSession(config=config) as session:
+            direct = encode_report(session.analyze(spec.request()))
+        assert legacy.is_file()
+        store.transition(orphan.id, RUNNING, owner="dead-pid", lease_s=30.0)
+
+        with CampaignServer(data_dir, workers=1) as server:
+            client = ServiceClient(server.url)
+            final = _wait_until(lambda: (
+                client.job(orphan.id)["status"] in TERMINAL_STATES
+                and client.job(orphan.id)
+            ))
+            assert final["status"] == DONE
+            assert final["attempt"] == 2
+            assert final["engine_stats"]["persistent_hits"] == 0
+            assert client.report_bytes(orphan.id) == direct.encode()
+
+
+def _open_job_logs(root):
+    """Paths under *root* of this process's open event logs and
+    checkpoints, read from ``/proc/self/fd``."""
+    held = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue  # closed between listdir and readlink
+        if target.startswith(str(root)) and os.path.basename(target) in (
+            "events.jsonl", "runcache.jsonl",
+        ):
+            held.append(target)
+    return sorted(held)
+
+
+class TestLogLifetimes:
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_no_log_handle_outlives_its_job(
+        self, tmp_path, slow_backend_name
+    ):
+        store = JobStore(tmp_path)
+        runner = JobRunner(
+            store, workers=1, max_attempts=2, reaper_interval_s=3600.0
+        )
+        runner.start()
+
+        def settle(job_id, status):
+            _wait_until(lambda: (
+                store.meta(job_id).status == status
+                and runner.busy_workers == 0
+                and runner.queue_depth == 0
+            ))
+            assert _open_job_logs(tmp_path) == []
+
+        def running_with_logs_open(job_id):
+            # The positive control: a live attempt holds both logs.
+            _wait_until(
+                lambda: store.meta(job_id).status == RUNNING
+            )
+            _wait_until(lambda: _open_job_logs(tmp_path) == [
+                str(store.events_path(job_id)),
+                str(store.checkpoint_path(job_id)),
+            ])
+
+        try:
+            done = runner.submit(JobSpec(**QUICK_SPEC))
+            settle(done.id, DONE)
+
+            # The failure marker is appended after the terminal
+            # transition, through a handle of its own.
+            failed = runner.submit(JobSpec(**{**QUICK_SPEC, "backend": "gone"}))
+            settle(failed.id, FAILED)
+            assert _events(store, failed.id)[-1]["event"] == "job_failed"
+
+            cancelled = runner.submit(JobSpec(**SLOW_SPEC))
+            running_with_logs_open(cancelled.id)
+            runner.cancel(cancelled.id)
+            settle(cancelled.id, CANCELLED)
+
+            # Reaped: the lease is stolen and expired, the reaper
+            # requeues the job, and drain keeps it queued so the
+            # displaced attempt's handles are all that could be left.
+            requeued = runner.submit(JobSpec(**SLOW_SPEC))
+            running_with_logs_open(requeued.id)
+            store._write_meta(dataclasses.replace(
+                store.meta(requeued.id),
+                lease_owner="somebody-else",
+                lease_deadline=time.time() - 1,
+            ))
+            runner.drain()
+            assert [m.id for m in runner.reap()] == [requeued.id]
+            settle(requeued.id, QUEUED)
+            assert store.meta(requeued.id).attempt == 2
+        finally:
+            runner.stop(cancel_running=True)
+
+    def test_marker_lands_whole_beside_an_open_worker_handle(self, tmp_path):
+        # The worker appends through its held handle while two reaper
+        # stand-ins append markers through their own, with a short
+        # switch interval so the writes interleave as much as they can.
+        store = JobStore(tmp_path)
+        job_id = store.new_job(JobSpec(**QUICK_SPEC)).id
+        padding = "x" * 3000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with store.event_log(job_id) as append:
+                def worker():
+                    for n in range(300):
+                        append(json.dumps(
+                            {"event": "probe", "n": n, "pad": padding}
+                        ))
+
+                def reaper(first):
+                    for attempt in range(first, first + 15):
+                        store.append_marker(
+                            job_id, "job_requeued",
+                            attempt=attempt, reason="lease-expired",
+                        )
+
+                threads = [
+                    threading.Thread(target=worker),
+                    threading.Thread(target=reaper, args=(0,)),
+                    threading.Thread(target=reaper, args=(15,)),
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=DEADLINE_S)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        # Every line parses: none was glued to or torn by another.
+        documents = _events(store, job_id)
+        assert [
+            doc["n"] for doc in documents if doc["event"] == "probe"
+        ] == list(range(300))
+        assert sorted(
+            doc["attempt"] for doc in documents
+            if doc["event"] == "job_requeued"
+        ) == list(range(30))
+        lines, next_since = store.read_events(job_id)
+        assert len(lines) == next_since == 330
+
 
 class TestTornMeta:
     def test_torn_meta_reads_as_torn_not_crash(self, tmp_path):
@@ -521,7 +681,12 @@ class TestShutdownMarkers:
         runner = JobRunner(store, workers=1)
         meta = runner.submit(JobSpec(**{**QUICK_SPEC, "backend": "gone"}))
         runner.start()
-        _wait_until(lambda: store.meta(meta.id).status in TERMINAL_STATES)
+        # The marker lands after the terminal transition: wait for the
+        # worker to finish the job, not just for the status.
+        _wait_until(lambda: (
+            store.meta(meta.id).status in TERMINAL_STATES
+            and runner.busy_workers == 0
+        ))
         assert store.meta(meta.id).status == "failed"
         kinds = [doc["event"] for doc in _events(store, meta.id)]
         assert "job_failed" in kinds
