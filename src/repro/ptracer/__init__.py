@@ -1,5 +1,9 @@
-"""Real Linux tracing substrate: ptrace interposition, seccomp-BPF
-filter builder, and a minimal ELF reader."""
+"""Real Linux tracing substrate: seccomp-filtered ptrace interposition
+(a BPF filter stops the tracee only on the syscalls a run traces or
+alters), the filter builder, and a minimal ELF reader.
+
+:func:`ptrace_works` probes the whole mechanism, seccomp included; a
+host that refuses either has no ``ptrace`` backend."""
 
 from repro.ptracer.backend import PtraceBackend
 from repro.ptracer.ctypes_bindings import (

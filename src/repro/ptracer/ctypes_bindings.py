@@ -1,18 +1,22 @@
-"""Raw ptrace bindings for x86-64 Linux via ctypes.
+"""Raw ptrace and seccomp bindings for x86-64 Linux via ctypes.
 
 The paper implements its interposition hooks in ~500 LoC of C on top of
 seccomp and ptrace; this module is the Python equivalent of that layer.
-Everything here is a thin, faithful mapping of ``<sys/ptrace.h>`` — no
-policy, no interpretation.
+Everything here is a thin, faithful mapping of ``<sys/ptrace.h>``,
+``<sys/prctl.h>`` and ``<linux/seccomp.h>`` — no policy, no
+interpretation.
 """
 
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
+import functools
 import os
+import signal
 
 from repro.errors import PtraceUnavailableError
+from repro.ptracer.seccomp_bpf import build_trace_filter, pack_program
+from repro.syscalls import number_of
 
 # -- ptrace requests (x86-64 numbering) --------------------------------------
 
@@ -25,28 +29,39 @@ PTRACE_GETREGS = 12
 PTRACE_SETREGS = 13
 PTRACE_ATTACH = 16
 PTRACE_DETACH = 17
-PTRACE_SYSCALL = 24
 PTRACE_SETOPTIONS = 0x4200
 
 # -- ptrace event options ------------------------------------------------------
 
-PTRACE_O_TRACESYSGOOD = 0x00000001
 PTRACE_O_TRACEFORK = 0x00000002
 PTRACE_O_TRACEVFORK = 0x00000004
 PTRACE_O_TRACECLONE = 0x00000008
 PTRACE_O_TRACEEXEC = 0x00000010
 PTRACE_O_EXITKILL = 0x00100000
 PTRACE_O_TRACESECCOMP = 0x00000080
+PTRACE_O_TRACEEXIT = 0x00000040
 
 PTRACE_EVENT_FORK = 1
 PTRACE_EVENT_VFORK = 2
 PTRACE_EVENT_CLONE = 3
 PTRACE_EVENT_EXEC = 4
+PTRACE_EVENT_EXIT = 6
 PTRACE_EVENT_SECCOMP = 7
 
-#: Written into ``orig_rax`` to make the kernel skip the current
-#: syscall; the subsequent exit stop then lets us forge ``rax``.
+#: ``waitpid`` flags for a tracer: every tracee, threads included
+#: (``__WALL``), but only the calling thread's own (``__WNOTHREAD``),
+#: so tracers on two threads never reap each other's tracees.
+WAIT_TRACEES = 0x40000000 | 0x20000000
+
+#: Written into ``orig_rax`` at a seccomp stop to make the kernel skip
+#: the call; ``rax``, set in the same stop, is then its return value.
 SKIP_SYSCALL = ctypes.c_ulonglong(-1).value
+
+# -- prctl(2) / seccomp(2) -------------------------------------------------
+
+PR_SET_SECCOMP = 22
+PR_SET_NO_NEW_PRIVS = 38
+SECCOMP_MODE_FILTER = 2
 
 #: ``-ENOSYS`` as an unsigned 64-bit register value.
 ENOSYS = 38
@@ -73,10 +88,21 @@ class UserRegs(ctypes.Structure):
         return tuple(getattr(self, reg) for reg in self.ARG_REGISTERS)
 
 
+class SockFprog(ctypes.Structure):
+    """``struct sock_fprog``: a classic-BPF program for seccomp."""
+
+    _fields_ = [("len", ctypes.c_ushort), ("filter", ctypes.c_void_p)]
+
+
 _libc = ctypes.CDLL(None, use_errno=True)
 _libc.ptrace.restype = ctypes.c_long
 _libc.ptrace.argtypes = (
     ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
+)
+_libc.prctl.restype = ctypes.c_int
+_libc.prctl.argtypes = (
+    ctypes.c_int, ctypes.c_ulong, ctypes.c_void_p, ctypes.c_ulong,
+    ctypes.c_ulong,
 )
 
 
@@ -91,9 +117,37 @@ def ptrace(request: int, pid: int, addr: int = 0, data: int = 0) -> int:
     return result
 
 
-def traceme() -> None:
-    """Called in the child before exec: request tracing by the parent."""
+@functools.lru_cache(maxsize=64)
+def compile_filter(numbers: "frozenset[int] | None") -> SockFprog:
+    """The seccomp program that stops the tracee on *numbers* only
+    (on every syscall for ``None``).
+
+    Built in the tracer before it forks, so the child only installs it.
+    """
+    packed = pack_program(build_trace_filter(numbers))
+    buffer = ctypes.create_string_buffer(packed, len(packed))
+    # The cast keeps *buffer* alive for as long as the program is.
+    return SockFprog(len(packed) // 8, ctypes.cast(buffer, ctypes.c_void_p))
+
+
+def traceme_filtered(program: SockFprog) -> None:
+    """Child side of a seccomp-filtered trace, run before exec.
+
+    Requests tracing, then stops so the parent can set
+    ``PTRACE_O_TRACESECCOMP`` before any ``SECCOMP_RET_TRACE`` fires
+    (without that option a trapped call fails with ``ENOSYS``, the exec
+    included). Then installs *program*, which every later exec and
+    child inherits.
+    """
     ptrace(PTRACE_TRACEME, 0)
+    os.kill(os.getpid(), signal.SIGSTOP)
+    for option, value, pointer in (
+        (PR_SET_NO_NEW_PRIVS, 1, None),
+        (PR_SET_SECCOMP, SECCOMP_MODE_FILTER, ctypes.addressof(program)),
+    ):
+        if _libc.prctl(option, value, pointer, 0, 0) != 0:
+            errno = ctypes.get_errno()
+            raise OSError(errno, os.strerror(errno), f"prctl({option})")
 
 
 def get_regs(pid: int) -> UserRegs:
@@ -134,40 +188,61 @@ def read_cstring(pid: int, address: int, limit: int = 4096) -> str:
     return b"".join(chunks).decode("utf-8", errors="replace")
 
 
-def ptrace_works() -> bool:
-    """Probe whether this environment permits ptrace at all.
+#: The probe child's stops, as ``status >> 8``: its own ``SIGSTOP``,
+#: then the seccomp event of its trapped ``getppid``.
+_PROBE_STOPS = [signal.SIGSTOP, signal.SIGTRAP | PTRACE_EVENT_SECCOMP << 8]
 
-    Some sandboxes deny ptrace via seccomp or Yama; tests skip the real
-    backend there instead of failing.
+
+def ptrace_works() -> bool:
+    """Probe whether this environment permits seccomp-filtered ptrace.
+
+    Some sandboxes deny ptrace, or seccomp, via their own seccomp
+    policy or Yama; tests skip the real backend there instead of
+    failing. The probe child goes through the tracer's own set-up
+    (:func:`traceme_filtered` with a filter trapping ``getppid``) and
+    must stop once on its ``SIGSTOP``, once on the trapped call, then
+    exit 0.
     """
+    program = compile_filter(frozenset({number_of("getppid")}))
     pid = os.fork()
     if pid == 0:
+        code = 13
         try:
-            traceme()
-        except OSError:
-            os._exit(13)
-        os._exit(0)
-    _, status = os.waitpid(pid, 0)
-    if os.WIFEXITED(status):
-        return os.WEXITSTATUS(status) == 0
-    if os.WIFSTOPPED(status):
-        # TRACEME succeeded and exit triggered a trace stop.
+            traceme_filtered(program)
+            os.getppid()
+            code = 0
+        finally:
+            os._exit(code)
+    stops = []
+    try:
+        while True:
+            _, status = os.waitpid(pid, WAIT_TRACEES)
+            if not os.WIFSTOPPED(status):
+                return (
+                    os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+                    and stops == _PROBE_STOPS
+                )
+            if not stops:
+                ptrace(
+                    PTRACE_SETOPTIONS, pid, 0,
+                    PTRACE_O_TRACESECCOMP | PTRACE_O_EXITKILL,
+                )
+            stops.append(status >> 8)
+            ptrace(PTRACE_CONT, pid, 0, 0)
+    except OSError:
         try:
-            ptrace(PTRACE_KILL, pid)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, WAIT_TRACEES)
         except OSError:
             pass
-        try:
-            os.waitpid(pid, 0)
-        except ChildProcessError:
-            pass
-        return True
-    return False
+        return False
 
 
 def require_ptrace() -> None:
     """Raise :class:`PtraceUnavailableError` unless ptrace is usable."""
     if not ptrace_works():
         raise PtraceUnavailableError(
-            "this environment denies ptrace(2); the real tracing backend "
-            "is unavailable (simulation backend remains fully functional)"
+            "this environment denies ptrace(2) or seccomp filters; the "
+            "real tracing backend is unavailable (simulation backend "
+            "remains fully functional)"
         )

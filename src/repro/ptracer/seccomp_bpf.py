@@ -7,12 +7,12 @@ that filter program — ``SECCOMP_RET_TRACE`` for the listed syscall
 numbers, ``SECCOMP_RET_ALLOW`` for everything else — as raw bytes that
 ``seccomp(2)``/``prctl(2)`` accept.
 
-The builder is fully functional and unit-tested as a pure function
-(instruction encoding, jump offsets, architecture guard). Installing
-the filter requires ``no_new_privs`` and affects the whole process, so
-the tracing backend uses the pure-ptrace path by default and treats
-seccomp acceleration as an opt-in; semantics are identical either way
-(see DESIGN.md, substitution table).
+The builder is a pure function, unit-tested through :func:`simulate`.
+Every traced run installs its output: the tracer
+(:mod:`repro.ptracer.tracer`) compiles one filter per run, over every
+syscall for a baseline and over the altered ones for a probe, and
+:func:`repro.ptracer.ctypes_bindings.traceme_filtered` installs it in
+the child before exec.
 """
 
 from __future__ import annotations
@@ -69,42 +69,55 @@ def ret(value: int) -> BpfInstruction:
     return BpfInstruction(BPF_RET | BPF_K, 0, 0, value)
 
 
+#: Numbers one block of ``jeq``s compares before its own ``ret TRACE``:
+#: a conditional jump's offset is 8 bits, so it reaches 255 ahead.
+_BLOCK = 256
+
+
 def build_trace_filter(
-    traced_numbers: Iterable[int], *, kill_on_wrong_arch: bool = True
+    traced_numbers: "Iterable[int] | None",
+    *,
+    kill_on_wrong_arch: bool = True,
 ) -> list[BpfInstruction]:
     """Build the filter: TRACE listed syscalls, ALLOW the rest.
+
+    ``None`` traces every syscall: the arch guard, then one ``ret
+    TRACE``. The kernel compiles a filter each time one is installed,
+    and this one compiles far faster than a compare per syscall number.
 
     Layout::
 
         ld  arch
-        jeq AUDIT_ARCH_X86_64 ? +1 : KILL/ALLOW
+        jeq AUDIT_ARCH_X86_64 ? +1 : +0
+        ret KILL                (ALLOW when kill_on_wrong_arch is off)
         ld  nr
-        jeq nr_0 -> TRACE
-        jeq nr_1 -> TRACE
+        jeq nr_0 -> TRACE       \
+        ...                      | one block per 256 numbers, so every
+        jeq nr_k ? +0 : +1       | jump stays within 8 bits
+        ret TRACE               /
         ...
         ret ALLOW
-        ret TRACE
-        [ret KILL]
     """
+    program = [
+        load_word(SECCOMP_DATA_ARCH),
+        # Jump offsets are relative to the *next* instruction.
+        jump_eq(AUDIT_ARCH_X86_64, 1, 0),
+        ret(SECCOMP_RET_KILL if kill_on_wrong_arch else SECCOMP_RET_ALLOW),
+    ]
+    if traced_numbers is None:
+        program.append(ret(SECCOMP_RET_TRACE))
+        return program
     numbers = sorted(set(int(n) for n in traced_numbers))
-    program: list[BpfInstruction] = []
-    program.append(load_word(SECCOMP_DATA_ARCH))
-    # Jump offsets are relative to the *next* instruction. On arch
-    # mismatch, jump to the trailing KILL (index 3+N+2) or, when kill
-    # is disabled, to RET ALLOW (index 3+N); this jeq sits at index 1.
-    if kill_on_wrong_arch:
-        program.append(jump_eq(AUDIT_ARCH_X86_64, 0, len(numbers) + 3))
-    else:
-        program.append(jump_eq(AUDIT_ARCH_X86_64, 0, len(numbers) + 1))
     program.append(load_word(SECCOMP_DATA_NR))
-    for position, number in enumerate(numbers):
-        # Jump straight to the shared RET TRACE at the end.
-        remaining = len(numbers) - position - 1
-        program.append(jump_eq(number, remaining + 1, 0))
+    for first in range(0, len(numbers), _BLOCK):
+        block = numbers[first:first + _BLOCK]
+        for position, number in enumerate(block[:-1]):
+            # Jump straight to the block's RET TRACE.
+            program.append(jump_eq(number, len(block) - 1 - position, 0))
+        # The block's last compare falls into RET TRACE or skips it.
+        program.append(jump_eq(block[-1], 0, 1))
+        program.append(ret(SECCOMP_RET_TRACE))
     program.append(ret(SECCOMP_RET_ALLOW))
-    program.append(ret(SECCOMP_RET_TRACE))
-    if kill_on_wrong_arch:
-        program.append(ret(SECCOMP_RET_KILL))
     return program
 
 

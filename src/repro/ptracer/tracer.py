@@ -1,15 +1,30 @@
 """The syscall-interposition tracer (paper Section 3.1, points A/B/D).
 
-Runs a command under ``PTRACE_SYSCALL`` supervision and applies an
-:class:`~repro.core.policy.InterpositionPolicy` to every system call
-the process (and, with follow-children, its descendants) makes:
+Runs a command under ptrace with a seccomp-BPF filter, as Loupe does,
+and applies an :class:`~repro.core.policy.InterpositionPolicy` to the
+system calls the process (and, with follow-children, its descendants)
+makes. The filter stops the tracee only on the calls that matter to
+the run; every other call runs at full speed:
 
-* **trace** — record (syscall, sub-feature, path argument) occurrences;
-* **stub**  — rewrite ``orig_rax`` to an invalid number at syscall
-  entry so the kernel executes nothing, then write ``-ENOSYS`` into
-  ``rax`` at the exit stop;
-* **fake**  — same skip, but forge a syscall-specific success value
-  (0, the requested length, the requested break address...).
+* a **baseline** run (a policy that alters nothing) traps every
+  syscall, once each, and records (syscall, sub-feature, path
+  argument) occurrences;
+* a **probe** run traps only the numbers its policy alters: its stubbed
+  and faked syscalls, the parent syscall of each ``syscall:OP`` entry,
+  and the open family when it has pseudo-path rules. At the one seccomp
+  stop the tracer decides:
+
+  * **stub** — rewrite ``orig_rax`` to an invalid number so the kernel
+    executes nothing, and ``rax`` to ``-ENOSYS``;
+  * **fake** — same skip, but with a syscall-specific success value
+    (0, the requested length, the requested break address...).
+
+  A probe run therefore counts only the calls it traps; feature
+  enumeration reads baseline runs alone.
+
+The child requests tracing and stops; the tracer sets its options
+(``PTRACE_O_TRACESECCOMP`` among them); the child then installs the
+filter and execs. The root's execve is counted once, at its exec event.
 
 Binary whitelisting (Section 3.3) is honored at ``execve`` boundaries:
 children running non-whitelisted binaries are still supervised (their
@@ -17,16 +32,16 @@ stubs/fakes are not applied, to avoid corrupting helper tools) and
 their syscalls are excluded from the trace, exactly like Loupe
 ignoring ``git`` invocations inside the Ruby test suite.
 
-Resource usage (peak RSS via ``/proc/<pid>/status`` VmHWM, peak open
-descriptors via ``/proc/<pid>/fd``) is sampled at syscall stops,
-mirroring the paper's /proc-based measurements (point D in Figure 1).
+Resource usage (peak RSS via ``/proc/<pid>/status`` VmHWM, open
+descriptors via ``/proc/<pid>/fd``) is sampled once, at the root's
+``PTRACE_EVENT_EXIT`` stop, mirroring the paper's /proc-based
+measurements (point D in Figure 1).
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import errno as errno_module
 import math
 import os
 import signal
@@ -40,39 +55,39 @@ from repro.errors import TraceeError
 from repro.ptracer.ctypes_bindings import (
     NEG_ENOSYS,
     PTRACE_CONT,
-    PTRACE_EVENT_CLONE,
     PTRACE_EVENT_EXEC,
-    PTRACE_EVENT_FORK,
-    PTRACE_EVENT_VFORK,
+    PTRACE_EVENT_EXIT,
+    PTRACE_EVENT_SECCOMP,
     PTRACE_KILL,
     PTRACE_O_EXITKILL,
     PTRACE_O_TRACECLONE,
     PTRACE_O_TRACEEXEC,
+    PTRACE_O_TRACEEXIT,
     PTRACE_O_TRACEFORK,
-    PTRACE_O_TRACESYSGOOD,
+    PTRACE_O_TRACESECCOMP,
     PTRACE_O_TRACEVFORK,
     PTRACE_SETOPTIONS,
-    PTRACE_SYSCALL,
     SKIP_SYSCALL,
-    UserRegs,
+    WAIT_TRACEES,
+    SockFprog,
+    compile_filter,
     get_regs,
     ptrace,
     read_cstring,
     set_regs,
-    traceme,
+    traceme_filtered,
 )
 from repro.syscalls import TABLE_X86_64, decode
 
 _TRACE_OPTIONS = (
-    PTRACE_O_TRACESYSGOOD
+    PTRACE_O_TRACESECCOMP
+    | PTRACE_O_TRACEEXIT
     | PTRACE_O_TRACEFORK
     | PTRACE_O_TRACEVFORK
     | PTRACE_O_TRACECLONE
     | PTRACE_O_TRACEEXEC
     | PTRACE_O_EXITKILL
 )
-
-_SYSCALL_STOP = signal.SIGTRAP | 0x80
 
 #: The path-argument register index for open-family syscalls.
 _PATH_ARG_INDEX = {
@@ -84,7 +99,14 @@ _PATH_ARG_INDEX = {
 
 @dataclasses.dataclass
 class TraceOutcome:
-    """Raw result of one traced execution."""
+    """Raw result of one traced execution.
+
+    ``traced`` and ``pseudo_files`` count the calls the run's filter
+    trapped: every call in a baseline run, but only the altered ones in
+    a probe run. Feature enumeration reads baseline runs alone.
+    ``mem_peak_kb`` and ``fd_peak`` are the root's peak RSS and its open
+    descriptors at exit.
+    """
 
     exit_code: int
     traced: Counter                  # qualified feature -> count
@@ -94,15 +116,6 @@ class TraceOutcome:
     duration_s: float
     timed_out: bool = False
     term_signal: int | None = None
-
-
-@dataclasses.dataclass
-class _PidState:
-    in_syscall: bool = False
-    skipped_number: int | None = None
-    skipped_args: tuple[int, ...] = ()
-    pending_action: Action = Action.STUB
-    whitelisted: bool = True
 
 
 class _Watchdog:
@@ -183,24 +196,22 @@ class SyscallTracer:
         subfeature_level: bool = True,
         track_pseudofiles: bool = True,
         timeout_s: float = 120.0,
-        sample_every: int = 16,
     ) -> None:
         self.policy = policy
         self.binaries = binaries
         self.subfeature_level = subfeature_level
         self.track_pseudofiles = track_pseudofiles
         self.timeout_s = timeout_s
-        self.sample_every = sample_every
 
     # -- public -----------------------------------------------------------
 
     def run(self, argv: "list[str]", env: "dict[str, str] | None" = None) -> TraceOutcome:
         """Execute *argv* under trace and return the raw outcome."""
+        program = compile_filter(self.trapped_numbers())
         started = time.monotonic()
         child = os.fork()
         if child == 0:
-            self._child(argv, env)
-            os._exit(127)  # not reached
+            self._child(argv, env, program)
 
         outcome = TraceOutcome(
             exit_code=-1,
@@ -223,37 +234,57 @@ class SyscallTracer:
             outcome.timed_out = True
         return outcome
 
+    def trapped_numbers(self) -> "frozenset[int] | None":
+        """The syscall numbers whose calls stop the tracee.
+
+        ``None``, meaning every syscall, when the policy alters nothing
+        (a baseline run traces everything); otherwise the ones whose
+        action can differ from passthrough.
+        """
+        altered = self.policy.altered_features()
+        if not altered:
+            return None
+        names: set[str] = set()
+        for feature in altered:
+            if feature.startswith("/"):
+                if self.track_pseudofiles:
+                    names |= OPEN_FAMILY
+                continue
+            syscall, _, operation = feature.partition(":")
+            if not operation or self.subfeature_level:
+                names.add(syscall)
+        by_name = TABLE_X86_64.by_name
+        return frozenset(by_name[name] for name in names if name in by_name)
+
     # -- child side ----------------------------------------------------------
 
     @staticmethod
-    def _child(argv: "list[str]", env: "dict[str, str] | None") -> None:
+    def _child(
+        argv: "list[str]", env: "dict[str, str] | None", program: SockFprog
+    ) -> None:
         try:
-            traceme()
-            # The exec below delivers the first trace stop to the parent.
+            traceme_filtered(program)
             if env is None:
                 os.execvp(argv[0], argv)
             else:
                 os.execvpe(argv[0], argv, env)
-        except OSError:
+        finally:
             os._exit(127)
 
     # -- parent side -----------------------------------------------------------
 
     def _supervise(self, root: int, outcome: TraceOutcome, started: float) -> None:
-        states: dict[int, _PidState] = {}
-        stops = 0
+        # pid -> whether its syscalls are attributed and interposed.
+        # The root's own seccomp stops before its exec (the exec path
+        # search) are neither.
+        states: dict[int, bool] = {root: False}
+        root_execed = False
 
-        # First stop: exec of the root child. The execve itself happened
-        # before syscall tracing could observe its entry, so account for
-        # it here — the process exists only because execve succeeded.
-        pid, status = os.waitpid(root, 0)
+        pid, status = os.waitpid(root, WAIT_TRACEES)
         if not os.WIFSTOPPED(status):
             raise TraceeError("tracee vanished before its first stop")
         ptrace(PTRACE_SETOPTIONS, root, 0, _TRACE_OPTIONS)
-        states[root] = _PidState(whitelisted=self._is_whitelisted(root))
-        if states[root].whitelisted:
-            outcome.traced["execve"] += 1
-        ptrace(PTRACE_SYSCALL, root, 0, 0)
+        ptrace(PTRACE_CONT, root, 0, 0)
 
         while states:
             if time.monotonic() - started > self.timeout_s:
@@ -261,22 +292,20 @@ class SyscallTracer:
                 self._kill_all(states)
                 break
             try:
-                pid, status = os.waitpid(-1, 0)
+                pid, status = os.waitpid(-1, WAIT_TRACEES)
             except ChildProcessError:
                 break
-            if pid not in states:
-                states[pid] = _PidState()
 
-            if os.WIFEXITED(status):
+            if os.WIFEXITED(status) or os.WIFSIGNALED(status):
                 if pid == root:
-                    outcome.exit_code = os.WEXITSTATUS(status)
-                del states[pid]
-                continue
-            if os.WIFSIGNALED(status):
-                if pid == root:
-                    outcome.exit_code = 128 + os.WTERMSIG(status)
-                    outcome.term_signal = os.WTERMSIG(status)
-                del states[pid]
+                    if not root_execed:
+                        raise TraceeError("tracee exited before its exec")
+                    if os.WIFEXITED(status):
+                        outcome.exit_code = os.WEXITSTATUS(status)
+                    else:
+                        outcome.exit_code = 128 + os.WTERMSIG(status)
+                        outcome.term_signal = os.WTERMSIG(status)
+                states.pop(pid, None)
                 continue
             if not os.WIFSTOPPED(status):
                 continue
@@ -284,29 +313,33 @@ class SyscallTracer:
             stop_signal = os.WSTOPSIG(status)
             event = status >> 16
             deliver = 0
-            if stop_signal == _SYSCALL_STOP:
-                stops += 1
-                if stops % self.sample_every == 0:
-                    self._sample_resources(root, outcome)
-                self._on_syscall_stop(pid, states[pid], outcome)
-            elif event in (
-                PTRACE_EVENT_FORK, PTRACE_EVENT_VFORK, PTRACE_EVENT_CLONE
-            ):
-                # The new child inherits supervision; its own first stop
-                # registers it in `states`.
-                pass
+            if pid not in states:
+                # A new child inherits supervision and the filter. Its
+                # first stop is the SIGSTOP that attaches it, which it
+                # must not receive.
+                states[pid] = True
+            elif event == PTRACE_EVENT_SECCOMP:
+                if states[pid]:
+                    self._on_seccomp_stop(pid, outcome)
             elif event == PTRACE_EVENT_EXEC:
-                states[pid] = _PidState(
-                    whitelisted=self._is_whitelisted(pid)
-                )
+                states[pid] = self._is_whitelisted(pid)
+                if pid == root and not root_execed:
+                    # The root's execve ran before it was attributed;
+                    # it exists only because execve succeeded.
+                    root_execed = True
+                    if states[pid]:
+                        outcome.traced["execve"] += 1
+            elif event == PTRACE_EVENT_EXIT:
+                if pid == root:
+                    self._sample_resources(root, outcome)
             elif stop_signal != signal.SIGTRAP:
                 deliver = stop_signal
             try:
-                ptrace(PTRACE_SYSCALL, pid, 0, deliver)
+                ptrace(PTRACE_CONT, pid, 0, deliver)
             except OSError:
                 states.pop(pid, None)
 
-    def _kill_all(self, states: "dict[int, _PidState]") -> None:
+    def _kill_all(self, states: "dict[int, bool]") -> None:
         for pid in list(states):
             try:
                 ptrace(PTRACE_KILL, pid)
@@ -319,7 +352,7 @@ class SyscallTracer:
         deadline = time.monotonic() + 2.0
         while states and time.monotonic() < deadline:
             try:
-                pid, _status = os.waitpid(-1, os.WNOHANG)
+                pid, _status = os.waitpid(-1, os.WNOHANG | WAIT_TRACEES)
             except ChildProcessError:
                 break
             if pid:
@@ -330,36 +363,20 @@ class SyscallTracer:
 
     # -- syscall handling ----------------------------------------------------------
 
-    def _on_syscall_stop(
-        self, pid: int, state: _PidState, outcome: TraceOutcome
-    ) -> None:
+    def _on_seccomp_stop(self, pid: int, outcome: TraceOutcome) -> None:
         try:
             regs = get_regs(pid)
         except OSError:
             return
-        if not state.in_syscall:
-            state.in_syscall = True
-            self._on_entry(pid, state, regs, outcome)
-        else:
-            state.in_syscall = False
-            self._on_exit(pid, state, regs)
-
-    def _on_entry(
-        self, pid: int, state: _PidState, regs: UserRegs, outcome: TraceOutcome
-    ) -> None:
-        number = regs.orig_rax
-        if number == SKIP_SYSCALL:
-            return
-        name = TABLE_X86_64.by_number.get(int(number))
+        name = TABLE_X86_64.by_number.get(int(regs.orig_rax))
         if name is None:
-            return
-        if not state.whitelisted:
             return
 
         args = regs.syscall_args()
         subfeature = None
         if self.subfeature_level:
-            sub = decode(name, args[self._selector_index(name)]) if self._selector_index(name) is not None else None
+            index = self._selector_index(name)
+            sub = decode(name, args[index]) if index is not None else None
             if sub is not None:
                 subfeature = sub.name
 
@@ -378,26 +395,13 @@ class SyscallTracer:
         action = self._action(name, subfeature, path)
         if action is Action.PASSTHROUGH:
             return
-        # Make the kernel skip the call; remember what we skipped so
-        # the exit stop can forge the right return value.
-        state.skipped_number = int(number)
-        state.skipped_args = args
-        state.pending_action = action
+        # Make the kernel skip the call and return our value instead.
         regs.orig_rax = SKIP_SYSCALL
+        regs.rax = (
+            NEG_ENOSYS if action is Action.STUB
+            else self._fake_value(name, args)
+        )
         set_regs(pid, regs)
-
-    def _on_exit(self, pid: int, state: _PidState, regs: UserRegs) -> None:
-        if state.skipped_number is None:
-            return
-        action = state.pending_action
-        name = TABLE_X86_64.by_number.get(state.skipped_number, "")
-        if action is Action.STUB:
-            regs.rax = NEG_ENOSYS
-        else:
-            regs.rax = self._fake_value(name, state.skipped_args)
-        set_regs(pid, regs)
-        state.skipped_number = None
-        state.skipped_args = ()
 
     @staticmethod
     def _selector_index(name: str) -> "int | None":
@@ -445,17 +449,17 @@ class SyscallTracer:
 
     @staticmethod
     def _sample_resources(pid: int, outcome: TraceOutcome) -> None:
+        """Read the root's usage at its exit stop, where VmHWM is the
+        exact peak and its descriptors are still open."""
         try:
             with open(f"/proc/{pid}/status") as status_file:
                 for line in status_file:
                     if line.startswith("VmHWM:"):
-                        kb = int(line.split()[1])
-                        outcome.mem_peak_kb = max(outcome.mem_peak_kb, kb)
+                        outcome.mem_peak_kb = int(line.split()[1])
                         break
         except OSError:
             pass
         try:
-            fd_count = len(os.listdir(f"/proc/{pid}/fd"))
-            outcome.fd_peak = max(outcome.fd_peak, fd_count)
+            outcome.fd_peak = len(os.listdir(f"/proc/{pid}/fd"))
         except OSError:
             pass

@@ -72,6 +72,7 @@ import threading
 import time
 from pathlib import Path
 
+from repro.api.events import SCHEMA_VERSION
 from repro.api.session import AnalysisRequest
 from repro.core.analyzer import AnalyzerConfig
 from repro.errors import LoupeError
@@ -323,6 +324,12 @@ class JobMeta:
         return JobMeta(**fields)
 
 
+def _marker_line(fields: dict) -> str:
+    """One server-side marker as an event-stream line: the envelope's
+    wire shape, ``schema_version`` first, then ``event``."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, **fields}) + "\n"
+
+
 def encode_report(outcome: object) -> str:
     """The canonical ``report.json`` serialization.
 
@@ -475,6 +482,7 @@ class JobStore:
         lease_s: "float | None" = None,
         bump_attempt: bool = False,
         history_event: "dict | None" = None,
+        marker: "dict | None" = None,
     ) -> JobMeta:
         """Atomically move one job along a legal lifecycle edge.
 
@@ -491,7 +499,11 @@ class JobStore:
         meanwhile gets a :class:`JobStateError` instead of clobbering
         the successor attempt's state. *bump_attempt* increments the
         attempt counter (reclaim/recovery requeues); *history_event*
-        appends one audit record to the job's history.
+        appends one audit record to the job's history. *marker* is a
+        server-side marker's fields, ``event`` first (see
+        :meth:`append_marker`): it is appended once the edge and owner
+        checks pass and before the new status is written, so a tail
+        that sees the new status has the marker too.
         """
         if status not in STATES:
             raise ValueError(f"unknown job status {status!r}")
@@ -553,6 +565,11 @@ class JobStore:
                 # landed this?"), but no live claim remains.
                 updates["lease_deadline"] = None
             meta = dataclasses.replace(meta, **updates)
+            if marker is not None:
+                # Not through event_log: its wakeup takes the store
+                # lock, held here; the _notify below wakes the tails.
+                with open(self.events_path(job_id), "a") as handle:
+                    handle.write(_marker_line(marker))
             self._write_meta(meta)
         self._notify(job_id)
         return meta
@@ -632,11 +649,7 @@ class JobStore:
         a crashed campaign, a reclaimed lease — and a tailing client
         is never left staring at a stream that just stops.
         """
-        from repro.api.events import SCHEMA_VERSION
-
-        document = {"schema_version": SCHEMA_VERSION, "event": kind}
-        document.update(fields)
-        self.append_event(job_id, json.dumps(document))
+        self.append_event(job_id, _marker_line({"event": kind, **fields}))
 
     def read_events(
         self, job_id: str, since: int = 0
@@ -753,20 +766,18 @@ class JobStore:
                             f"attempt budget exhausted"
                         ),
                         history_event=entry,
+                        marker={"event": "job_quarantined",
+                                "attempt": meta.attempt,
+                                "reason": "server-restart"},
                     ))
-                    self.append_marker(
-                        job_id, "job_quarantined",
-                        attempt=meta.attempt, reason="server-restart",
-                    )
                 else:
                     resumed.append(self.transition(
                         job_id, QUEUED,
                         bump_attempt=True, history_event=entry,
+                        marker={"event": "job_requeued",
+                                "attempt": meta.attempt + 1,
+                                "reason": "server-restart"},
                     ))
-                    self.append_marker(
-                        job_id, "job_requeued",
-                        attempt=meta.attempt + 1, reason="server-restart",
-                    )
             elif meta.status == QUEUED:
                 requeue.append(meta)
         return resumed, quarantined, requeue

@@ -434,19 +434,17 @@ class JobRunner:
                         f"attempt budget exhausted"
                     ),
                     history_event=entry,
-                )
-                self.store.append_marker(
-                    meta.id, "job_quarantined",
-                    attempt=meta.attempt, reason="lease-expired",
+                    marker={"event": "job_quarantined",
+                            "attempt": meta.attempt,
+                            "reason": "lease-expired"},
                 )
             else:
                 result = self.store.transition(
                     meta.id, QUEUED,
                     bump_attempt=True, history_event=entry,
-                )
-                self.store.append_marker(
-                    meta.id, "job_requeued",
-                    attempt=meta.attempt + 1, reason="lease-expired",
+                    marker={"event": "job_requeued",
+                            "attempt": meta.attempt + 1,
+                            "reason": "lease-expired"},
                 )
                 self._enqueue(meta.id)
         except JobStateError:
@@ -552,17 +550,13 @@ class JobRunner:
         except Exception as error:  # noqa: BLE001 — jobs must never
             # take a worker thread down with them; whatever the
             # campaign raised becomes the job's terminal record.
-            landed = self._transition_safely(
-                job_id, FAILED, owner,
-                reason=f"{type(error).__name__}: {error}",
+            reason = f"{type(error).__name__}: {error}"
+            # Terminal marker for tailing clients: the analyzer died
+            # mid-stream and never emitted one itself.
+            self._transition_safely(
+                job_id, FAILED, owner, reason=reason,
+                marker={"event": "job_failed", "reason": reason},
             )
-            if landed is not None:
-                # Terminal marker for tailing clients: the analyzer
-                # died mid-stream and never emitted one itself.
-                self.store.append_marker(
-                    job_id, "job_failed",
-                    reason=f"{type(error).__name__}: {error}",
-                )
 
     def _transition_safely(
         self, job_id: str, status: str, owner: str, **kwargs: object

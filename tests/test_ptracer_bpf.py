@@ -1,10 +1,19 @@
-"""Tests for the seccomp-BPF filter builder (pure, no installation)."""
+"""Tests for the seccomp-BPF filter builder and for what each traced
+run's filter traps (pure, no installation)."""
 
 import struct
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.policy import (
+    Action,
+    InterpositionPolicy,
+    combined,
+    passthrough,
+)
+from repro.core.pseudofiles import OPEN_FAMILY
 from repro.ptracer.seccomp_bpf import (
     AUDIT_ARCH_X86_64,
     SECCOMP_RET_ALLOW,
@@ -14,7 +23,8 @@ from repro.ptracer.seccomp_bpf import (
     pack_program,
     simulate,
 )
-from repro.syscalls import number_of
+from repro.ptracer.tracer import SyscallTracer
+from repro.syscalls import TABLE_X86_64, number_of
 
 syscall_numbers = st.sets(
     st.sampled_from([0, 1, 2, 9, 12, 59, 202, 257, 302]), min_size=0, max_size=6
@@ -78,3 +88,62 @@ class TestEncoding:
 
     def test_arch_constant(self):
         assert AUDIT_ARCH_X86_64 == 0xC000003E
+
+
+class TestLargeFilters:
+    def test_every_table_number_packs_and_traces(self):
+        """A trace-everything filter is longer than one 8-bit jump."""
+        numbers = sorted(TABLE_X86_64.by_number)
+        program = build_trace_filter(numbers)
+        assert len(pack_program(program)) == len(program) * 8
+        for number in numbers:
+            assert simulate(program, nr=number) == SECCOMP_RET_TRACE
+        unlisted = max(numbers) + 1
+        assert simulate(program, nr=unlisted) == SECCOMP_RET_ALLOW
+        assert simulate(program, nr=0, arch=0x1234) == SECCOMP_RET_KILL
+
+    @pytest.mark.parametrize("count", [255, 256, 257, 512, 513, 1000])
+    def test_filters_across_jump_boundaries(self, count):
+        traced = set(range(0, 2 * count, 2))
+        program = build_trace_filter(traced)
+        pack_program(program)
+        for probe in range(2 * count + 1):
+            expected = (
+                SECCOMP_RET_TRACE if probe in traced else SECCOMP_RET_ALLOW
+            )
+            assert simulate(program, nr=probe) == expected
+
+
+class TestTrappedNumbers:
+    """What each run's filter traps (pure: nothing is traced)."""
+
+    def test_baseline_traps_every_syscall(self):
+        assert SyscallTracer(passthrough()).trapped_numbers() is None
+        program = build_trace_filter(None)
+        for number in (0, max(TABLE_X86_64.by_number), 1000):
+            assert simulate(program, nr=number) == SECCOMP_RET_TRACE
+        assert simulate(program, nr=0, arch=0x1234) == SECCOMP_RET_KILL
+
+    def test_probe_traps_only_its_altered_syscalls(self):
+        policy = combined(stubs=["write"], fakes=["brk"])
+        assert SyscallTracer(policy).trapped_numbers() == {
+            number_of("write"), number_of("brk"),
+        }
+
+    def test_subfeature_rule_traps_its_parent(self):
+        policy = InterpositionPolicy(
+            subfeature_actions={"fcntl:F_SETFD": Action.STUB}
+        )
+        assert SyscallTracer(policy).trapped_numbers() == {number_of("fcntl")}
+        assert SyscallTracer(
+            policy, subfeature_level=False
+        ).trapped_numbers() == frozenset()
+
+    def test_path_rule_traps_the_open_family(self):
+        policy = InterpositionPolicy(pseudofile_actions={"/proc": Action.FAKE})
+        assert SyscallTracer(policy).trapped_numbers() == {
+            number_of(name) for name in OPEN_FAMILY
+        }
+        assert SyscallTracer(
+            policy, track_pseudofiles=False
+        ).trapped_numbers() == frozenset()

@@ -7,11 +7,13 @@ sub-feature decoding, and resource sampling.
 """
 
 import sys
+import threading
 import time
 
 import pytest
 
 from repro.core.policy import combined, faking, passthrough, stubbing
+from repro.errors import TraceeError
 from repro.ptracer.tracer import SyscallTracer
 
 pytestmark = pytest.mark.ptrace
@@ -42,10 +44,18 @@ class TestTracing:
         outcome = _trace(
             passthrough(),
             [sys.executable, "-c", "x = bytearray(4_000_000); print(1)"],
-            sample_every=4,
         )
         assert outcome.exit_code == 0
         assert outcome.mem_peak_kb > 3_000
+
+    def test_resources_sampled_when_nothing_is_trapped(self):
+        """Usage is read at the root's exit, so a run that never stops
+        on a syscall still reports it."""
+        outcome = _trace(stubbing("mremap"), ["/bin/true"])
+        assert outcome.exit_code == 0
+        assert set(outcome.traced) == {"execve"}
+        assert outcome.mem_peak_kb > 0
+        assert outcome.fd_peak >= 3
 
     def test_pseudofile_detection(self):
         outcome = _trace(
@@ -60,6 +70,48 @@ class TestTracing:
         script = "import os; pid=os.fork(); os.wait() if pid else os._exit(0)"
         outcome = _trace(passthrough(), [sys.executable, "-c", script])
         assert outcome.exit_code == 0
+
+
+class TestConcurrentTracers:
+    def test_tracer_threads_keep_their_own_tracees(self):
+        """Each tracer waits only for its own tracees, so another tracer
+        thread never reaps them."""
+        outcomes, errors = [], []
+
+        def loop():
+            try:
+                for _ in range(10):
+                    outcomes.append(_trace(
+                        passthrough(), ["/bin/echo", "x"], timeout_s=10.0
+                    ))
+            except Exception as error:  # noqa: BLE001 — reported below
+                errors.append(error)
+
+        # More tracer threads than a two-core runner has cores.
+        threads = [threading.Thread(target=loop) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        assert errors == []
+        assert len(outcomes) == 30
+        for outcome in outcomes:
+            assert outcome.exit_code == 0
+            assert outcome.traced["write"] >= 1
+
+
+class TestRootExec:
+    def test_root_exec_is_neither_stubbed_nor_trapped_twice(self):
+        """The root's own execve runs before its calls are attributed,
+        and counts once, at its exec event."""
+        outcome = _trace(stubbing("execve"), ["/bin/echo", "x"])
+        assert outcome.exit_code == 0
+        assert outcome.traced["execve"] == 1
+
+    def test_command_that_cannot_exec_raises(self):
+        with pytest.raises(TraceeError):
+            _trace(passthrough(), ["/no/such/binary"])
 
 
 class TestStubbing:

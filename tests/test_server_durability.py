@@ -681,16 +681,40 @@ class TestShutdownMarkers:
         runner = JobRunner(store, workers=1)
         meta = runner.submit(JobSpec(**{**QUICK_SPEC, "backend": "gone"}))
         runner.start()
-        # The marker lands after the terminal transition: wait for the
-        # worker to finish the job, not just for the status.
-        _wait_until(lambda: (
-            store.meta(meta.id).status in TERMINAL_STATES
-            and runner.busy_workers == 0
-        ))
+        _wait_until(lambda: store.meta(meta.id).status in TERMINAL_STATES)
         assert store.meta(meta.id).status == "failed"
         kinds = [doc["event"] for doc in _events(store, meta.id)]
         assert "job_failed" in kinds
         runner.stop()
+
+
+class TestFailedJobTail:
+    def test_tail_of_failed_job_ends_with_its_marker(
+        self, tmp_path, monkeypatch
+    ):
+        # The worker is descheduled right after its job turns
+        # ``failed``: a tail that sees that status must already have
+        # the terminal marker in the stream.
+        transition = JobStore.transition
+
+        def slow_to_return(self, job_id, status, **kwargs):
+            meta = transition(self, job_id, status, **kwargs)
+            if status == FAILED:
+                time.sleep(0.5)
+            return meta
+
+        monkeypatch.setattr(JobStore, "transition", slow_to_return)
+        with CampaignServer(tmp_path / "svc", workers=1) as server:
+            # Submitted past the HTTP front door, which would refuse
+            # the unresolvable backend before it could fail a worker.
+            meta = server.runner.submit(
+                JobSpec(**{**QUICK_SPEC, "backend": "gone"})
+            )
+            client = ServiceClient(server.url)
+            lines = list(client.tail(meta.id, poll=1.0))
+        assert client.last_status == FAILED
+        assert [json.loads(line)["event"] for line in lines][-1:] \
+            == ["job_failed"]
 
 
 class TestClientRetries:
