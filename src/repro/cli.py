@@ -187,10 +187,10 @@ def _check_exec_spec(args: argparse.Namespace, request: AnalysisRequest,
     backend would run it (the command would be silently dropped), and
     prints a note when model-analyzing backends are merely mixed with
     command-running ones (the paper's model-vs-command comparison,
-    meaningful only when both name the same program). Backends whose
-    contract comes through the legacy attribute shim cannot express
-    ``real_execution``, so they get the benefit of the doubt — no
-    refusal, no note — exactly as the pre-contract CLI behaved.
+    meaningful only when both name the same program). Backends with
+    no ``capabilities()`` cannot express ``real_execution``, so they
+    get the benefit of the doubt — no refusal, no note — exactly as
+    the pre-contract CLI behaved.
     Resolution failures are left for the main path to report with
     full context; the guard's own resolution is paid again by the
     analysis (targets are cheap to build next to any traced run).
@@ -207,7 +207,7 @@ def _check_exec_spec(args: argparse.Namespace, request: AnalysisRequest,
     consuming, modeled, unknown = [], [], []
     for name, target in zip(names, targets):
         if getattr(target.backend, "capabilities", None) is None:
-            unknown.append(name)  # legacy shim: can't express intent
+            unknown.append(name)  # no contract: can't express intent
         elif capabilities_of(target.backend).real_execution:
             consuming.append(name)
         else:
@@ -691,7 +691,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_queue=args.max_queue,
             lease_s=args.lease,
             max_attempts=args.max_attempts,
-            checkpoint_jobs=not args.no_checkpoint,
             verbose=args.verbose,
         )
     except OSError as error:
@@ -1301,7 +1300,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="service-default persistent run cache, "
                             "inherited by jobs that name none — a "
                             "long-lived server amortizes probe work "
-                            "across campaigns")
+                            "across campaigns, and a job resumed after "
+                            "a crash resumes warm")
     serve.add_argument("--max-queue", type=_positive_int, default=None,
                        metavar="N",
                        help="admission control: refuse submissions "
@@ -1318,10 +1318,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="attempt budget per job; reclaims and "
                             "crash-resumes beyond it quarantine the "
                             "job as poisonous (default 3)")
-    serve.add_argument("--no-checkpoint", action="store_true",
-                       help="disable per-job checkpoint stores "
-                            "(jobs/<id>/runcache.jsonl); resumed "
-                            "jobs then re-execute every probe")
     serve.add_argument("--verbose", action="store_true",
                        help="log each HTTP request to stderr")
     serve.set_defaults(func=_cmd_serve)

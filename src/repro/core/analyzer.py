@@ -462,9 +462,9 @@ class Analyzer:
         self.engine.notice_sink = lambda notice: _emit_notice(emit, notice)
         # A config asking for observations the backend's contract says
         # it cannot produce deserves a signal, not silent empty sets.
-        # Only *explicit* contracts are trusted to mean "no": the
-        # legacy attribute shim cannot express the supports_* flags,
-        # so pre-contract backends get the benefit of the doubt (their
+        # Only *explicit* contracts are trusted to mean "no": a
+        # backend with no capabilities() expresses no supports_*
+        # flags, so it gets the benefit of the doubt (its
         # runs may well report pseudo-files — collection reads run
         # results unconditionally either way).
         if getattr(backend, "capabilities", None) is not None:

@@ -657,8 +657,7 @@ class ProbeEngine:
         self._persistent_hits = 0
         self._faulted = 0
         #: id(backend) -> (backend, BackendCapabilities); resolved once
-        #: per backend object, so a legacy backend's shimmed attributes
-        #: (and the accompanying DeprecationWarning) are read once, not
+        #: per backend object, so ``capabilities()`` is called once, not
         #: per run. The backend reference pins the id so a descriptor
         #: can never be served to a recycled object.
         self._capability_cache: dict[
@@ -743,9 +742,8 @@ class ProbeEngine:
         """The backend's capability descriptor, resolved once per object.
 
         Memoizing here keeps the hot paths (`_cacheable` runs per
-        scheduled run) off the descriptor resolution — which for
-        legacy backends goes through the attribute shim and its
-        deprecation warning. Cleared on :meth:`reset`.
+        scheduled run) off the descriptor resolution. Cleared on
+        :meth:`reset`.
         """
         capabilities = self._verdict(self._capability_cache, backend)
         if capabilities is None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
-import warnings
 from collections import Counter
 from typing import Protocol, runtime_checkable
 
@@ -181,27 +180,13 @@ class BackendCapabilities:
         })
 
 
-#: The pre-contract spelling: bare boolean attributes on the backend
-#: object. :func:`capabilities_of` synthesizes a descriptor from them
-#: (and warns) so backends written against the old protocol keep
-#: scheduling exactly as before.
-_LEGACY_CAPABILITY_ATTRIBUTES = (
-    "deterministic", "parallel_safe", "process_safe"
-)
-
-
 def capabilities_of(backend: object) -> BackendCapabilities:
     """The backend's capability contract, via ``capabilities()``.
 
     This is the single sanctioned way to read capabilities — nothing
-    outside this function may sniff capability attributes. Backends
-    that predate the contract and still declare bare attributes
-    (``deterministic``/``parallel_safe``/``process_safe``) keep
-    working through the legacy shim below: the attributes are
-    synthesized into a descriptor and a :class:`DeprecationWarning`
-    points at the method. A backend declaring neither is scheduled
-    with no capabilities at all (serial, uncached) — the conservative
-    default the old ``getattr(..., False)`` sniffing encoded.
+    outside this function may sniff capability attributes. A backend
+    with no ``capabilities()`` is scheduled with no capabilities at
+    all (serial, uncached), whatever bare attributes it carries.
     """
     method = getattr(backend, "capabilities", None)
     if isinstance(method, BackendCapabilities):
@@ -224,24 +209,7 @@ def capabilities_of(backend: object) -> BackendCapabilities:
                 f"{type(capabilities).__name__}"
             )
         return capabilities
-    # Legacy shim: synthesize the descriptor from declared attributes.
-    declared = [
-        name for name in _LEGACY_CAPABILITY_ATTRIBUTES
-        if hasattr(backend, name)
-    ]
-    if declared:
-        warnings.warn(
-            f"{type(backend).__name__} declares legacy capability "
-            f"attribute(s) {', '.join(declared)}; implement a "
-            f"capabilities() method returning BackendCapabilities "
-            f"instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return BackendCapabilities(**{
-        name: bool(getattr(backend, name, False))
-        for name in _LEGACY_CAPABILITY_ATTRIBUTES
-    })
+    return BackendCapabilities()
 
 
 @runtime_checkable
@@ -256,9 +224,7 @@ class ExecutionBackend(Protocol):
     vocabulary). The ptrace backend deliberately declares none of the
     scheduling capabilities: live traced processes contend on ports
     and on-disk state and hold OS handles no child process could
-    inherit. Backends that predate the descriptor and declare bare
-    boolean attributes instead keep working through the
-    :func:`capabilities_of` legacy shim (with a deprecation warning).
+    inherit.
     """
 
     name: str
@@ -304,7 +270,7 @@ def process_shardable(
     fails the check instead of blowing up inside the pool, so
     schedulers can fall back to thread sharding. Callers that already
     resolved the descriptor pass it as *capabilities* to skip the
-    (possibly legacy-shimmed) re-resolution.
+    re-resolution.
     """
     if capabilities is None:
         capabilities = capabilities_of(backend)

@@ -16,8 +16,7 @@ The pieces, bottom up:
 * :mod:`~repro.server.queue` — the FIFO queue, worker pool, and
   lease reaper that drain jobs through sessions, wiring cooperative
   cancellation and heartbeats into the analyzer's ``cancel_check``
-  and ``progress_hook``, with per-job checkpoint stores, admission
-  control, and drain mode;
+  and ``progress_hook``, with admission control and drain mode;
 * :mod:`~repro.server.handlers` — the HTTP surface, including the
   long-polling ``/jobs/<id>/events`` replay;
 * :mod:`~repro.server.app` — :class:`CampaignServer`, composing the

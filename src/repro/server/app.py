@@ -53,7 +53,8 @@ class CampaignServer:
     ``server.url``) or from the CLI (``loupe serve``). ``run_cache``
     sets a service-default persistent run-result store: jobs whose
     spec names no store of their own inherit it, which is how a
-    long-lived service amortizes probe work across campaigns.
+    long-lived service amortizes probe work across campaigns and how a
+    job resumed after a crash re-executes only what never finished.
     """
 
     def __init__(
@@ -67,7 +68,6 @@ class CampaignServer:
         max_queue: "int | None" = None,
         lease_s: float = DEFAULT_LEASE_S,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        checkpoint_jobs: bool = True,
         reaper_interval_s: "float | None" = None,
         verbose: bool = False,
     ) -> None:
@@ -82,7 +82,6 @@ class CampaignServer:
             max_queue=max_queue,
             lease_s=lease_s,
             max_attempts=max_attempts,
-            checkpoint_jobs=checkpoint_jobs,
             reaper_interval_s=reaper_interval_s,
         )
         self.fleet = FleetTracker()

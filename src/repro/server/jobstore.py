@@ -10,7 +10,6 @@ submitted over HTTP, owned end-to-end by a lifecycle directory
         meta.json       where the job is in its lifecycle (atomic writes)
         events.jsonl    the campaign's event stream, envelope-wrapped
         report.json     the result, written once on success
-        runcache.jsonl  the job's checkpoint store (probe results)
 
 mirroring the per-app lifecycle-dir shape of the streamlit-manager
 exemplar the ROADMAP cites (single service, one directory per managed
@@ -51,11 +50,12 @@ history intact for triage.
 
 Crash recovery (:meth:`JobStore.recover`) runs at server start: jobs
 found ``running`` were orphaned by a dead server and are **resumed**
-— re-enqueued as ``queued`` with ``attempt+1`` (their per-job
-checkpoint store answers every probe the previous attempt completed)
-— unless their attempt budget is spent, in which case they are
-quarantined. Jobs found ``queued`` are returned for re-enqueueing in
-submission order, so a restart never silently drops accepted work.
+— re-enqueued as ``queued`` with ``attempt+1`` (a spec that names a
+run cache answers every probe the previous attempt stored there; any
+other job re-runs from scratch) — unless their attempt budget is
+spent, in which case they are quarantined. Jobs found ``queued`` are
+returned for re-enqueueing in submission order, so a restart never
+silently drops accepted work.
 Torn metadata (a server killed mid-write of a brand-new job, or a
 filesystem that tore what :func:`os.replace` promised atomic) is
 rebuilt from ``spec.json`` as a fresh ``queued`` job rather than
@@ -389,16 +389,6 @@ class JobStore:
     def report_path(self, job_id: str) -> Path:
         return self.job_dir(job_id) / "report.json"
 
-    def checkpoint_path(self, job_id: str) -> Path:
-        """The job's private run-cache store — the checkpoint a
-        resumed attempt warms from. JSONL, because a checkpoint has
-        one writer and no other reader while it is written: a get is a
-        dict lookup and a put one flushed append. A crash tears at
-        most the final line, which the next load skips. Neither this
-        nor SQLite (``synchronous=NORMAL``) fsyncs per record, so both
-        survive a SIGKILL the same way."""
-        return self.job_dir(job_id) / "runcache.jsonl"
-
     # -- creation and reads --------------------------------------------------
 
     def new_job(self, spec: JobSpec) -> JobMeta:
@@ -718,11 +708,12 @@ class JobStore:
         Jobs found ``running`` belonged to a server that is no longer
         running them. With attempts to spare they are **resumed**:
         requeued with ``attempt+1`` and a ``server-restart`` history
-        record — their checkpoint store answers every probe the dead
-        attempt completed, so the resumed run re-executes only what
-        never finished. Jobs already at *max_attempts* are quarantined
-        instead (a job that takes the server down with it every time
-        must stop being offered a worker). Jobs found ``queued`` are
+        record. A resumed job whose spec names a run cache re-executes
+        only what the dead attempt never stored there; any other job
+        re-runs from scratch, to the same byte-identical report. Jobs
+        already at *max_attempts* are quarantined instead (a job that
+        takes the server down with it every time must stop being
+        offered a worker). Jobs found ``queued`` are
         still owed work and come back in submission order. Torn or
         missing metadata is rebuilt from ``spec.json`` as ``queued``
         (history records the rebuild); leftover atomic-write temp

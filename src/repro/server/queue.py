@@ -39,17 +39,19 @@ lives in :mod:`repro.server.jobstore`):
 * **The reaper.** A daemon thread sweeps for running jobs whose lease
   deadline has passed — a worker wedged in a backend, a heartbeat
   that stopped — and reclaims them: re-enqueued with ``attempt+1``
-  (their checkpoint store makes the retry cheap) or, once
-  ``max_attempts`` is spent, quarantined with the full attempt
-  history. Either way a marker event lands in the stream, so a
+  (the retry runs from scratch, or warm through the run cache its spec
+  names) or, once ``max_attempts`` is spent, quarantined with the full
+  attempt history. Either way a marker event lands in the stream, so a
   tailing client sees the handoff.
 
-* **Checkpoints.** Jobs whose spec names no run cache of their own
-  get a private one at ``jobs/<id>/runcache.jsonl``; every completed
-  probe is one flushed append the moment it finishes, which is what
-  makes resume-after-crash re-execute only the work that never
-  completed. The job's event log is likewise one handle held open for
-  the whole analysis.
+* **Resume.** A resumed attempt re-runs its campaign through the
+  spec's own config. A spec that names a run cache (or a server
+  started with ``--run-cache``, which writes that path into each
+  spec) resumes warm from that store; a spec-less job resumes cold,
+  and its report is byte-identical either way. The runner injects no
+  store of its own: encoding every probe to disk costs more than a
+  short deterministic job saves by resuming warm once after a crash.
+  The job's event log is one handle held open for the whole analysis.
 
 * **Admission + drain.** ``max_queue`` bounds accepted-but-unstarted
   work (:class:`QueueFullError` → HTTP 429); :meth:`JobRunner.drain`
@@ -165,10 +167,8 @@ class JobRunner:
     Durability knobs: ``max_queue`` bounds accepted-but-unstarted jobs
     (``None`` = unbounded, the embedded-test default); ``lease_s`` and
     ``max_attempts`` parameterize the lease protocol described in the
-    module docstring; ``checkpoint_jobs=False`` turns off the per-job
-    run-cache store (jobs then re-execute from scratch on resume —
-    still correct, just not cheap). ``reaper_interval_s`` mainly
-    exists for tests; the default sweeps a few times per lease.
+    module docstring. ``reaper_interval_s`` mainly exists for tests;
+    the default sweeps a few times per lease.
     """
 
     def __init__(
@@ -179,7 +179,6 @@ class JobRunner:
         max_queue: "int | None" = None,
         lease_s: float = DEFAULT_LEASE_S,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        checkpoint_jobs: bool = True,
         reaper_interval_s: "float | None" = None,
     ) -> None:
         if workers < 1:
@@ -195,7 +194,6 @@ class JobRunner:
         self.max_queue = max_queue
         self.lease_s = lease_s
         self.max_attempts = max_attempts
-        self.checkpoint_jobs = checkpoint_jobs
         self.reaper_interval_s = (
             reaper_interval_s
             if reaper_interval_s is not None
@@ -290,8 +288,7 @@ class JobRunner:
         """Flip the one-way drain switch: intake closes (submissions
         raise :class:`ServerDrainingError`), in-flight campaigns run
         to completion, and still-queued jobs are left ``queued`` on
-        disk for the next server start to pick up — their checkpoint
-        stores, if any, intact."""
+        disk for the next server start to pick up."""
         with self._lock:
             self._draining = True
 
@@ -509,20 +506,8 @@ class JobRunner:
 
         try:
             spec = self.store.spec(job_id)
-            config = spec.analyzer_config()
-            if self.checkpoint_jobs and config.run_cache is None:
-                # The job's private checkpoint store: every completed
-                # probe is durable the moment it lands, so a resumed
-                # attempt warms from here and re-executes only what
-                # never finished. Injected by the runner, not written
-                # into spec.json — the spec stays exactly what the
-                # client asked for.
-                config = dataclasses.replace(
-                    config,
-                    run_cache=str(self.store.checkpoint_path(job_id)),
-                )
             with self.store.event_log(job_id) as append, \
-                    LoupeSession(config=config) as session:
+                    LoupeSession(config=spec.analyzer_config()) as session:
                 outcome = session.analyze(
                     spec.request(),
                     on_event=lambda event: append(json.dumps(envelope(event))),

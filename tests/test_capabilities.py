@@ -81,17 +81,19 @@ class TestBuiltinContracts:
 
 
 class TestLegacyShim:
-    def test_legacy_attributes_synthesize_descriptor_and_warn(self):
+    """How ``capabilities_of`` reads backends that declare their
+    contract oddly or not at all."""
+
+    def test_bare_attributes_are_not_a_contract(self):
         class _Legacy:
             name = "legacy"
             deterministic = True
             parallel_safe = True
+            process_safe = True
 
-        with pytest.warns(DeprecationWarning, match="capabilities"):
+        with _no_warnings():
             caps = capabilities_of(_Legacy())
-        assert caps == BackendCapabilities(
-            deterministic=True, parallel_safe=True
-        )
+        assert caps == BackendCapabilities()
 
     def test_undeclared_backend_gets_no_capabilities_silently(self):
         class _Bare:
@@ -179,8 +181,9 @@ class TestEngineIntegration:
             assert backend.resolutions == 2  # reset dropped the memo
 
     def test_no_capability_sniffing_outside_the_shim(self):
-        """The acceptance gate: getattr-style capability sniffing may
-        exist only inside the legacy shim (capabilities_of)."""
+        """The acceptance gate: nothing in ``src/`` sniffs capability
+        attributes with getattr; ``capabilities_of`` is the only
+        reader, and it calls ``capabilities()``."""
         import pathlib
         import re
 
@@ -195,9 +198,7 @@ class TestEngineIntegration:
             ):
                 if pattern.search(line):
                     offenders.append(f"{path}:{number}: {line.strip()}")
-        allowed = "runner.py"
-        real = [o for o in offenders if allowed not in o]
-        assert not real, real
+        assert not offenders, offenders
 
     def test_cacheability_follows_contract(self):
         """A deterministic contract caches; a silent backend never does."""
@@ -275,12 +276,10 @@ class TestEngineIntegration:
             Analyzer(AnalyzerConfig(pseudo_files=True)).analyze(
                 app.backend(), app.workload("health")
             )
-        # Legacy-shim backends get the benefit of the doubt: the shim
-        # cannot express supports_*, so no misleading warning fires.
+        # A backend with no contract gets the benefit of the doubt:
+        # it cannot express supports_*, so no misleading warning fires.
         class Legacy:
             name = backend.name
-            deterministic = True
-            parallel_safe = True
 
             def run(self, workload, policy, *, replica=0):
                 return backend.run(workload, policy, replica=replica)

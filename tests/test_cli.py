@@ -148,10 +148,10 @@ class TestAnalyze:
         assert "--exec requires" in capsys.readouterr().err
 
     def test_analyze_exec_allows_legacy_contract_backend(self, capsys):
-        """A pre-contract backend (bare attributes, no capabilities()
-        method) cannot express real_execution; --exec must give it the
-        benefit of the doubt instead of refusing — the pre-capability
-        CLI refused only the literal name 'appsim'."""
+        """A backend with no capabilities() method cannot express
+        real_execution; --exec must give it the benefit of the doubt
+        instead of refusing — the pre-capability CLI refused only the
+        literal name 'appsim'."""
         import repro.appsim as appsim
         from repro.api.registry import (
             ResolvedTarget,
@@ -165,8 +165,6 @@ class TestAnalyze:
 
             class Legacy:
                 name = inner.name + "+legacy"
-                deterministic = True
-                parallel_safe = True
 
                 def run(self, workload, policy, *, replica=0):
                     return inner.run(workload, policy, replica=replica)

@@ -78,7 +78,12 @@ from repro.core.faults import (
 )
 from repro.core.policy import passthrough, stubbing
 from repro.core.result import AnalysisResult
-from repro.core.runner import ResourceUsage, RunResult, backend_name
+from repro.core.runner import (
+    BackendCapabilities,
+    ResourceUsage,
+    RunResult,
+    backend_name,
+)
 from repro.core.workload import health_check
 from repro.errors import AnalysisError
 from repro.report import (
@@ -117,8 +122,9 @@ class _FlakyBackend:
     """Raises on the first *fail_times* calls, then succeeds."""
 
     name = "sim:flaky"
-    deterministic = False
-    parallel_safe = True
+
+    def capabilities(self):
+        return BackendCapabilities(parallel_safe=True)
 
     def __init__(self, fail_times):
         self.fail_times = fail_times

@@ -16,7 +16,7 @@ from repro.appsim.corpus import build
 from repro.core.cachestore import JsonlRunCache
 from repro.core.engine import EngineStats, ProbeEngine
 from repro.core.policy import stubbing
-from repro.core.runner import ResourceUsage, RunResult
+from repro.core.runner import BackendCapabilities, ResourceUsage, RunResult
 from repro.core.workload import benchmark
 
 
@@ -100,8 +100,9 @@ class TestRunCacheStore:
 
 class _CountingBackend:
     name = "sim:counting"
-    deterministic = True
-    parallel_safe = True
+
+    def capabilities(self):
+        return BackendCapabilities(deterministic=True, parallel_safe=True)
 
     def __init__(self):
         self.calls = 0
@@ -150,7 +151,8 @@ class TestEnginePersistence:
 
     def test_nondeterministic_backend_never_persisted(self, tmp_path):
         class _Undeclared(_CountingBackend):
-            deterministic = False
+            def capabilities(self):
+                return BackendCapabilities(parallel_safe=True)
 
         store = JsonlRunCache(tmp_path / "runs.jsonl")
         with ProbeEngine(store=store) as engine:

@@ -178,7 +178,9 @@ class TestCapabilityFallback:
 
         class _Unsafe:
             name = "sim:unsafe"
-            deterministic = False
+
+            def capabilities(self):
+                return BackendCapabilities()
 
             def __init__(self):
                 self.calls = 0
@@ -214,10 +216,13 @@ class TestCapabilityFallback:
             def __init__(self, inner):
                 self._inner = inner
                 self.name = inner.name
-                self.deterministic = True
-                self.parallel_safe = True
-                self.process_safe = True
                 self._poison = lambda: None  # unpicklable on purpose
+
+            def capabilities(self):
+                return BackendCapabilities(
+                    deterministic=True, parallel_safe=True,
+                    process_safe=True,
+                )
 
             def run(self, workload, policy, *, replica=0):
                 return self._inner.run(workload, policy, replica=replica)

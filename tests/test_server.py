@@ -62,7 +62,6 @@ class _SlowBackend:
         self.inner = inner
         self.delay_s = delay_s
         self.name = getattr(inner, "name", "slow")
-        self.deterministic = getattr(inner, "deterministic", False)
 
     def capabilities(self):
         from repro.core.runner import capabilities_of
@@ -368,18 +367,11 @@ def _normalize_durations(line):
     for key in list(document):
         if key.endswith("duration_s"):
             document[key] = 0.0
-    if document.get("event") == "store_stats":
-        # The run-cache store's identity fields are inherently
-        # run-dependent: the server's job checkpoints under
-        # jobs/<id>/runcache.jsonl, the direct run under its own
-        # path, and file sizes track record timestamps.
-        document["path"] = ""
-        document["file_bytes"] = 0
     return document
 
 
 class TestByteIdentityWithDirectRun:
-    def test_report_and_events_match_direct_session(self, client, tmp_path):
+    def test_report_and_events_match_direct_session(self, client):
         meta = client.submit(QUICK_SPEC)
         _wait_until(
             lambda: client.job(meta["id"])["status"] in TERMINAL_STATES
@@ -388,17 +380,11 @@ class TestByteIdentityWithDirectRun:
         server_report = client.report_bytes(meta["id"])
         server_lines, _, _ = client.events(meta["id"])
 
-        # The server gives every job a private checkpoint store, which
-        # adds one store_stats event to the stream — so the direct
-        # comparison run gets a store of the same kind, and the store's
-        # identity fields are normalized below.
+        # The direct run uses the spec's own config: the server injects
+        # no store, so it must add nothing to the stream.
         spec = JobSpec.from_dict(QUICK_SPEC)
-        config = dataclasses.replace(
-            spec.analyzer_config(),
-            run_cache=str(tmp_path / "direct.jsonl"),
-        )
         direct_lines = []
-        with LoupeSession(config=config) as session:
+        with LoupeSession(config=spec.analyzer_config()) as session:
             outcome = session.analyze(
                 spec.request(),
                 on_event=lambda event: direct_lines.append(
@@ -413,8 +399,9 @@ class TestByteIdentityWithDirectRun:
             assert document.pop("schema_version") == SCHEMA_VERSION
             stripped.append(json.dumps(document) + "\n")
         # Stripping the envelope restores the exact --events jsonl
-        # byte layout; wall-clock durations and store identity are the
-        # legitimately run-dependent fields.
+        # byte layout; wall-clock durations are the only legitimately
+        # run-dependent fields.
+        assert not any('"store_stats"' in line for line in stripped)
         assert [
             _normalize_durations(line) for line in stripped
         ] == [
@@ -423,7 +410,6 @@ class TestByteIdentityWithDirectRun:
         identical = [
             pair for pair in zip(stripped, direct_lines)
             if "duration_s" not in pair[0]
-            and '"store_stats"' not in pair[0]
         ]
         assert all(ours == theirs for ours, theirs in identical)
 

@@ -1,5 +1,5 @@
 """Tests for the campaign server's durability substrate: leases and
-heartbeats, the reaper, checkpoint/resume, poison-job quarantine,
+heartbeats, the reaper, crash resume, poison-job quarantine,
 torn-metadata recovery, admission control, drain mode, and the
 client's transient-retry behavior."""
 
@@ -7,7 +7,6 @@ import dataclasses
 import json
 import math
 import os
-import shutil
 import sys
 import threading
 import time
@@ -39,7 +38,6 @@ from repro.server import (
     ServiceClient,
     ServiceError,
     TornMetaError,
-    encode_report,
 )
 from repro.cli import main
 
@@ -64,7 +62,6 @@ class _SlowBackend:
         self.inner = inner
         self.delay_s = delay_s
         self.name = getattr(inner, "name", "slow")
-        self.deterministic = getattr(inner, "deterministic", False)
 
     def capabilities(self):
         from repro.core.runner import capabilities_of
@@ -247,29 +244,30 @@ class TestReaper:
 
 class TestCheckpointResume:
     def test_kill_resume_is_byte_identical_and_warm(self, tmp_path):
-        spec = JobSpec.from_dict(QUICK_SPEC)
+        # The spec names a run cache, so the store outlives the server.
+        cache = tmp_path / "runs.jsonl"
+        document = {**QUICK_SPEC, "run_cache": str(cache)}
+        spec = JobSpec.from_dict(document)
 
         # Reference: an uninterrupted server run of the same spec.
         with CampaignServer(tmp_path / "ref", workers=1) as ref_server:
             ref_client = ServiceClient(ref_server.url)
-            ref_meta = ref_client.submit(QUICK_SPEC)
+            ref_meta = ref_client.submit(document)
             _wait_until(lambda: (
                 ref_client.job(ref_meta["id"])["status"] in TERMINAL_STATES
             ))
             assert ref_client.job(ref_meta["id"])["status"] == DONE
             reference_report = ref_client.report_bytes(ref_meta["id"])
-            checkpoint = ref_server.store.checkpoint_path(ref_meta["id"])
-            assert checkpoint.is_file()
+        assert cache.is_file()
 
         # Crash scene: a job caught mid-run by a dead server — status
-        # running, lease held by a worker that no longer exists, and a
-        # checkpoint store already holding every completed probe (the
-        # reference job's store doubles as "attempt 1 finished all its
+        # running, lease held by a worker that no longer exists, and
+        # its run cache already holding every completed probe (the
+        # reference job's writes double as "attempt 1 finished all its
         # probes before the crash").
         data_dir = tmp_path / "crashed"
         store = JobStore(data_dir)
         orphan = store.new_job(spec)
-        shutil.copy(checkpoint, store.checkpoint_path(orphan.id))
         store.transition(orphan.id, RUNNING, owner="dead-pid", lease_s=30.0)
 
         with CampaignServer(data_dir, workers=1) as server:
@@ -281,8 +279,8 @@ class TestCheckpointResume:
             assert final["status"] == DONE
             assert final["attempt"] == 2
             assert final["history"][-1]["outcome"] == "server-restart"
-            # Warm resume: the checkpoint answered probes, the engine
-            # re-executed only what it had to.
+            # Warm resume: the spec's store answered probes, the
+            # engine re-executed only what it had to.
             assert final["engine_stats"]["persistent_hits"] > 0
             # Determinism: byte-identical to the uninterrupted run.
             assert client.report_bytes(orphan.id) == reference_report
@@ -291,69 +289,35 @@ class TestCheckpointResume:
             ]
             assert "job_requeued" in kinds
 
-    def test_jobs_get_private_checkpoint_stores(self, tmp_path):
+    def test_specless_job_writes_no_run_cache(self, tmp_path):
+        # The runner injects no store: a job with no run cache leaves
+        # only its lifecycle files behind.
         with CampaignServer(tmp_path / "svc", workers=1) as server:
             client = ServiceClient(server.url)
             meta = client.submit(QUICK_SPEC)
             _wait_until(
                 lambda: client.job(meta["id"])["status"] in TERMINAL_STATES
             )
-            assert server.store.checkpoint_path(meta["id"]).is_file()
-            # The spec stays what the client asked for — the
-            # checkpoint is runner plumbing, not spec rewriting.
+            assert client.job(meta["id"])["status"] == DONE
+            job_dir = server.store.job_dir(meta["id"])
+            assert sorted(p.name for p in job_dir.iterdir()) == [
+                "events.jsonl", "meta.json", "report.json", "spec.json",
+            ]
             assert server.store.spec(meta["id"]).run_cache is None
-
-    def test_checkpoint_can_be_disabled(self, tmp_path):
-        with CampaignServer(
-            tmp_path / "svc", workers=1, checkpoint_jobs=False
-        ) as server:
-            client = ServiceClient(server.url)
-            meta = client.submit(QUICK_SPEC)
-            _wait_until(
-                lambda: client.job(meta["id"])["status"] in TERMINAL_STATES
-            )
-            assert not server.store.checkpoint_path(meta["id"]).exists()
-
-    def test_legacy_sqlite_checkpoint_resumes_cold(self, tmp_path):
-        # An orphan left by a server that checkpointed into
-        # runcache.sqlite: nothing reads that file any more, so the
-        # resume re-executes every run and lands the same report.
-        spec = JobSpec.from_dict(QUICK_SPEC)
-        data_dir = tmp_path / "svc"
-        store = JobStore(data_dir)
-        orphan = store.new_job(spec)
-        legacy = store.job_dir(orphan.id) / "runcache.sqlite"
-        config = dataclasses.replace(
-            spec.analyzer_config(), run_cache=str(legacy)
-        )
-        with LoupeSession(config=config) as session:
-            direct = encode_report(session.analyze(spec.request()))
-        assert legacy.is_file()
-        store.transition(orphan.id, RUNNING, owner="dead-pid", lease_s=30.0)
-
-        with CampaignServer(data_dir, workers=1) as server:
-            client = ServiceClient(server.url)
-            final = _wait_until(lambda: (
-                client.job(orphan.id)["status"] in TERMINAL_STATES
-                and client.job(orphan.id)
-            ))
-            assert final["status"] == DONE
-            assert final["attempt"] == 2
-            assert final["engine_stats"]["persistent_hits"] == 0
-            assert client.report_bytes(orphan.id) == direct.encode()
 
 
 def _open_job_logs(root):
-    """Paths under *root* of this process's open event logs and
-    checkpoints, read from ``/proc/self/fd``."""
+    """Paths under *root* of this process's open event logs and run
+    caches, read from ``/proc/self/fd``."""
     held = []
     for fd in os.listdir("/proc/self/fd"):
         try:
             target = os.readlink(f"/proc/self/fd/{fd}")
         except OSError:
             continue  # closed between listdir and readlink
-        if target.startswith(str(root)) and os.path.basename(target) in (
-            "events.jsonl", "runcache.jsonl",
+        name = os.path.basename(target)
+        if target.startswith(str(root)) and (
+            name == "events.jsonl" or name.startswith("runcache.")
         ):
             held.append(target)
     return sorted(held)
@@ -381,13 +345,13 @@ class TestLogLifetimes:
             assert _open_job_logs(tmp_path) == []
 
         def running_with_logs_open(job_id):
-            # The positive control: a live attempt holds both logs.
+            # The positive control: a live attempt holds its event log,
+            # and nothing else under the job dir.
             _wait_until(
                 lambda: store.meta(job_id).status == RUNNING
             )
             _wait_until(lambda: _open_job_logs(tmp_path) == [
                 str(store.events_path(job_id)),
-                str(store.checkpoint_path(job_id)),
             ])
 
         try:
@@ -816,17 +780,25 @@ class TestDurabilityCLI:
             assert "draining" in out
             assert server.runner.draining is True
 
+    def test_no_checkpoint_flag_is_gone(self, tmp_path, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([
+                "serve", "--data-dir", str(tmp_path), "--no-checkpoint",
+            ])
+        assert exit_info.value.code == 2
+        assert "--no-checkpoint" in capsys.readouterr().err
+
     def test_serve_flags_reach_the_runner(self, tmp_path):
         server = CampaignServer(
             tmp_path / "svc",
             max_queue=7, lease_s=12.0, max_attempts=5,
-            checkpoint_jobs=False,
         )
         try:
             assert server.runner.max_queue == 7
             assert server.runner.lease_s == 12.0
             assert server.runner.max_attempts == 5
-            assert server.runner.checkpoint_jobs is False
         finally:
             # Never start()ed, so only the bound socket needs release
             # (close() would block on an HTTP loop that never ran).
