@@ -61,7 +61,7 @@ from repro.errors import PlanError
 from repro.report import CrossValidationReport, cross_validate
 
 #: AnalyzerConfig fields that change what an analysis *concludes* (as
-#: opposed to the engine knobs — parallel/cache/early_exit — which only
+#: opposed to the engine knobs — parallel, cache, early_exit — which only
 #: change how fast it concludes it). A memoized record only answers a
 #: request whose semantic fields match the ones that produced it.
 _SEMANTIC_CONFIG_FIELDS = (
@@ -400,7 +400,7 @@ class LoupeSession:
         overrides the session default for this call only. A cached
         record only answers a request whose semantic config fields
         (replicas, guarding, bisection, priors, ...) match the run
-        that produced it — engine knobs (parallel/cache/early_exit)
+        that produced it — engine knobs (parallel, cache, early_exit)
         change how fast an analysis runs, never what it concludes, and
         so never force a re-run. ``use_cache=False`` forces a fresh
         run (the new record still replaces the stored one).

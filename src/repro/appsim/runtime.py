@@ -151,7 +151,7 @@ class SimProcess:
         self._plans: dict[frozenset[str], _Plan] = {}
 
     # The plans rebuild lazily, so a pickled process (a backend shipped
-    # in a process or remote chunk) is the same size cold or warm.
+    # in a process-pool chunk) is the same size cold or warm.
     def __getstate__(self) -> dict:
         return {"program": self.program}
 

@@ -31,11 +31,7 @@ Subcommands mirror how the paper's tool is used:
 * ``serve``    — run the campaign server (job queue, bounded worker
   pool, live event streaming over HTTP; ``--max-queue``, ``--lease``
   and ``--max-attempts`` set the durability posture; ``--run-cache``
-  additionally serves the store to the fleet at ``/cache``).
-* ``worker``   — run one fabric worker: accepts pickled probe chunks
-  from ``--executor remote`` campaigns over TCP and executes them
-  locally (``--port-file`` publishes an ephemeral bind address,
-  ``--announce`` feeds the server's fleet gauges).
+  names a default run cache for jobs whose spec names none).
 * ``submit`` / ``jobs`` / ``tail`` / ``cancel`` / ``drain`` — the
   server's clients: submit a campaign spec, list jobs (``--state``
   filters, e.g. ``--state quarantined`` for triage), stream a job's
@@ -55,7 +51,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import signal
 import sys
 import threading
@@ -66,6 +61,7 @@ from repro.api.session import AnalysisRequest, LoupeSession
 from repro.appsim.corpus import CLOUD_APPS, cloud_apps, corpus
 from repro.core.analyzer import AnalyzerConfig
 from repro.core.cachestore import CacheStoreError, migrate_store, open_store
+from repro.core.engine import EXECUTORS
 from repro.core.faults import ProbeFaultError
 from repro.db import Database
 from repro.errors import AnalysisCancelledError, LoupeError, PlanError
@@ -263,15 +259,6 @@ def _print_analysis(result) -> None:
         print("WARNING: final combined run failed; conflicts:", result.conflicts)
 
 
-def _parse_workers(spec: "str | None") -> tuple:
-    """The --workers comma list as a tuple of 'host:port' addresses."""
-    if not spec:
-        return ()
-    return tuple(
-        part.strip() for part in spec.split(",") if part.strip()
-    )
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.no_cache and args.run_cache:
         print("--run-cache requires run memoization; drop --no-cache",
@@ -285,18 +272,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print("--run-cache-ttl requires --run-cache; there is no "
               "persistent store to age out", file=sys.stderr)
         return 2
-    if args.executor == "remote" and not args.workers:
-        print("--executor remote needs --workers HOST:PORT[,...] "
-              "(start them with: loupe worker --port PORT)",
-              file=sys.stderr)
-        return 2
     config = AnalyzerConfig(
         replicas=args.replicas,
         subfeature_level=args.subfeatures,
         pseudo_files=args.pseudofiles,
         parallel=args.jobs,
         executor=args.executor,
-        workers=_parse_workers(args.workers),
         cache=not args.no_cache,
         run_cache=args.run_cache,
         run_cache_max_entries=args.run_cache_max_entries,
@@ -372,18 +353,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    if args.executor == "remote" and not args.workers:
-        print("--executor remote needs --workers HOST:PORT[,...] "
-              "(start them with: loupe worker --port PORT)",
-              file=sys.stderr)
-        return 2
     config = AnalyzerConfig(
         replicas=args.replicas,
         subfeature_level=args.subfeatures,
         pseudo_files=args.pseudofiles,
         parallel=args.jobs,
         executor=args.executor,
-        workers=_parse_workers(args.workers),
         probe_timeout_s=args.probe_timeout,
         retries=args.retries,
         retry_backoff_s=args.retry_backoff,
@@ -593,11 +568,7 @@ def _require_store_file(path: str) -> None:
     exit 2, not report success on a silently-created empty store."""
     from repro.core.cachestore import parse_store_path
 
-    kind, concrete = parse_store_path(path)
-    if kind == "http":
-        # A URL names a served store; reachability is checked when the
-        # remote client opens (with its own actionable error).
-        return
+    _kind, concrete = parse_store_path(path)
     if not concrete.exists():
         raise CacheStoreError(f"no run-cache store at {concrete}")
 
@@ -693,6 +664,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_attempts=args.max_attempts,
             verbose=args.verbose,
         )
+    except CacheStoreError as error:
+        print(f"serve: {error}", file=sys.stderr)
+        return 2
     except OSError as error:
         print(f"serve: cannot bind {args.host}:{args.port}: {error}",
               file=sys.stderr)
@@ -723,51 +697,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.fabric import FabricWorker
-
-    try:
-        worker = FabricWorker(
-            host=args.host,
-            port=args.port,
-            heartbeat_s=args.heartbeat,
-            announce_url=args.announce,
-        )
-    except (OSError, ValueError) as error:
-        print(f"worker: cannot bind {args.host}:{args.port}: {error}",
-              file=sys.stderr)
-        return 2
-    worker.start()
-    print(f"fabric worker listening on {worker.address} "
-          f"(pid {os.getpid()})", flush=True)
-    if args.port_file:
-        # Script-friendly discovery, like the server's server.json: an
-        # ephemeral --port 0 worker publishes where it actually bound.
-        Path(args.port_file).write_text(f"{worker.address}\n")
-
-    # SIGTERM takes the same graceful path as Ctrl-C (background
-    # shells start children with SIGINT ignored).
-    if threading.current_thread() is threading.main_thread():
-        def _terminate(signum: int, frame: object) -> None:
-            raise KeyboardInterrupt
-
-        signal.signal(signal.SIGTERM, _terminate)
-    try:
-        worker.serve_forever()
-    except KeyboardInterrupt:
-        print("interrupt: shutting down worker", file=sys.stderr,
-              flush=True)
-        return 130
-    finally:
-        worker.close()
-        if args.port_file:
-            try:
-                Path(args.port_file).unlink()
-            except FileNotFoundError:
-                pass
-    return 0
-
-
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.server import ServiceError
 
@@ -780,7 +709,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         "pseudofiles": args.pseudofiles,
         "jobs": args.jobs,
         "executor": args.executor,
-        "workers": args.workers or "",
         "run_cache": args.run_cache,
         "run_cache_max_entries": args.run_cache_max_entries,
         "run_cache_ttl": args.run_cache_ttl,
@@ -1038,8 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="probe-engine worker pool width (replicas "
                               "of one probe run concurrently; default 1)")
     analyze.add_argument("--executor",
-                         choices=("auto", "serial", "thread", "process",
-                                  "remote"),
+                         choices=EXECUTORS,
                          default="auto",
                          help="probe sharding strategy at --jobs > 1: "
                               "auto times the baseline runs and uses "
@@ -1047,14 +974,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "CPU (serial otherwise), "
                               "threads overlap run latency, processes "
                               "shard CPU-bound simulated runs past the "
-                              "GIL, remote ships chunks to a worker "
-                              "fleet (--workers) (backends that cannot "
-                              "shard fall back automatically; "
-                              "default: auto)")
-    analyze.add_argument("--workers", metavar="HOST:PORT[,HOST:PORT...]",
-                         default=None,
-                         help="worker fleet for --executor remote: "
-                              "comma list of `loupe worker` addresses")
+                              "GIL (backends that cannot shard fall "
+                              "back automatically; default: auto)")
     analyze.add_argument("--run-cache", metavar="PATH", default=None,
                          help="persistent run-cache store; repeated "
                               "campaigns over the same path start "
@@ -1102,16 +1023,12 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                          help="probe-engine worker pool width per target")
     compare.add_argument("--executor",
-                         choices=("auto", "serial", "thread", "process",
-                                  "remote"),
+                         choices=EXECUTORS,
                          default="auto",
                          help="probe sharding strategy per target at "
                               "--jobs > 1, as for analyze (auto: "
                               "threads only for runs that wait off "
                               "the CPU, serial otherwise)")
-    compare.add_argument("--workers", metavar="HOST:PORT[,HOST:PORT...]",
-                         default=None,
-                         help="worker fleet for --executor remote")
     compare.add_argument("--events", choices=("jsonl",), default=None,
                          help="stream analysis progress events (incl. "
                               "target_started/target_finished and the "
@@ -1322,32 +1239,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="log each HTTP request to stderr")
     serve.set_defaults(func=_cmd_serve)
 
-    worker = sub.add_parser(
-        "worker",
-        help="run one fabric worker: accept pickled probe chunks from "
-             "remote-executor campaigns (--executor remote --workers "
-             "HOST:PORT,...) over TCP and execute them locally",
-    )
-    worker.add_argument("--host", default="127.0.0.1")
-    worker.add_argument("--port", type=int, default=0,
-                        help="port to bind; 0 (the default) picks an "
-                             "ephemeral one — publish it with "
-                             "--port-file")
-    worker.add_argument("--port-file", metavar="PATH", default=None,
-                        help="write the bound host:port address to "
-                             "this file once listening (removed on "
-                             "clean shutdown)")
-    worker.add_argument("--announce", metavar="URL", default=None,
-                        help="campaign server base URL to send "
-                             "periodic fleet heartbeats to (feeds the "
-                             "worker gauges in its GET /stats)")
-    worker.add_argument("--heartbeat", type=float, default=2.0,
-                        metavar="SECONDS",
-                        help="connection heartbeat interval; schedulers "
-                             "presume a worker dead after ~5 missed "
-                             "beats (default 2)")
-    worker.set_defaults(func=_cmd_worker)
-
     def _client_arguments(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--url", default=None,
                             help="server address (http://host:port); "
@@ -1381,23 +1272,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="probe-engine worker pool width inside "
                              "the campaign")
     submit.add_argument("--executor",
-                        choices=("auto", "serial", "thread", "process",
-                                 "remote"),
+                        choices=EXECUTORS,
                         default="auto",
                         help="probe sharding strategy inside the "
                              "campaign, as for analyze (auto: threads "
                              "only for runs that wait off the CPU, "
                              "serial otherwise)")
-    submit.add_argument("--workers", metavar="HOST:PORT[,HOST:PORT...]",
-                        default=None,
-                        help="worker fleet the job's remote executor "
-                             "dials (addresses as the *server* reaches "
-                             "them)")
     submit.add_argument("--run-cache", metavar="PATH", default=None,
                         help="persistent run cache for this job "
                              "(default: the server's --run-cache, "
-                             "if any); http://host:port uses a "
-                             "campaign server's /cache surface")
+                             "if any)")
     submit.add_argument("--run-cache-max-entries", type=_positive_int,
                         default=None, metavar="N")
     submit.add_argument("--run-cache-ttl", type=float, default=None,

@@ -138,12 +138,6 @@ class AnalyzerConfig:
     #: bounds *size*, the TTL bounds *staleness*. ``None`` disables
     #: age-based eviction.
     run_cache_ttl_s: "float | None" = None
-    #: Fabric worker addresses (``host:port``) for
-    #: ``executor="remote"``: probe chunks are shipped to these
-    #: ``loupe worker`` processes instead of a local pool. Required
-    #: (non-empty) when the remote executor is selected, ignored by
-    #: every other executor.
-    workers: "tuple[str, ...]" = ()
     #: Stop replicating a probe at the first failed replica (one
     #: failure already decides the conservative merge).
     early_exit: bool = True
@@ -244,13 +238,6 @@ class AnalyzerConfig:
                 "run_cache_ttl_s requires run_cache: there is no "
                 "persistent store to age out"
             )
-        # Normalize (the config is frozen; lists arrive from job specs).
-        object.__setattr__(self, "workers", tuple(self.workers))
-        if self.executor == "remote" and not self.workers:
-            raise ValueError(
-                "executor='remote' needs at least one worker address "
-                "(workers=('host:port', ...))"
-            )
         # FaultPolicy validates the fault knobs (ranges, mode names);
         # building it here surfaces bad values at config time instead
         # of mid-campaign.
@@ -335,7 +322,6 @@ class Analyzer:
             executor=self.config.executor,
             store=store,
             fault_policy=self.config.fault_policy(),
-            workers=self.config.workers,
         )
         #: Populated by :meth:`analyze` when priors are configured.
         self.last_transfer_stats: "object | None" = None

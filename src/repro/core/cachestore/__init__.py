@@ -14,12 +14,6 @@ small subsystem:
 * :mod:`~repro.core.cachestore.sqlite` — a WAL-mode SQLite store:
   multi-process safe, live read-through, upsert puts, LRU eviction
   via ``last_used``/``use_count`` under ``max_entries``;
-* :mod:`~repro.core.cachestore.remote` — :class:`RemoteRunCache`, an
-  HTTP client for the campaign server's ``/cache`` surface: one
-  store shared by a whole worker fleet, with cross-process
-  single-flight claims (served by
-  :class:`repro.server.cache.CacheService`) de-duplicating concurrent
-  misses;
 * :mod:`~repro.core.cachestore.factory` — :func:`open_store` (scheme
   and extension aware) and :func:`migrate_store` (jsonl → sqlite
   upgrade path);
@@ -62,14 +56,12 @@ from repro.core.cachestore.factory import (
     store_identity,
 )
 from repro.core.cachestore.jsonl import JsonlRunCache
-from repro.core.cachestore.remote import RemoteRunCache
 from repro.core.cachestore.sqlite import SqliteRunCache
 
 __all__ = [
     "CacheStoreError",
     "CompactionResult",
     "JsonlRunCache",
-    "RemoteRunCache",
     "RunCacheBackend",
     "SQLITE_SUFFIXES",
     "SqliteRunCache",

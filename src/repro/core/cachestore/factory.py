@@ -9,8 +9,6 @@ The choice is scheme- and extension-aware:
 =====================================  =========
 path                                   backend
 =====================================  =========
-``http://`` / ``https://`` URL         remote (a campaign server's
-                                       ``/cache`` surface)
 ``sqlite:anything``                    sqlite
 ``jsonl:anything``                     jsonl
 ``*.sqlite`` / ``*.sqlite3`` / ``*.db``  sqlite
@@ -48,11 +46,15 @@ def parse_store_path(
     An explicit ``sqlite:``/``jsonl:`` scheme always wins; otherwise
     the extension decides, with a magic-bytes sniff rescuing existing
     SQLite files behind unconventional names (say, a migrated cache
-    kept under its old name).
+    kept under its old name). A URL is refused: read as a path it
+    would silently create a local file named after the host.
     """
     text = os.fspath(path)
     if text.startswith(("http://", "https://")):
-        return "http", Path(text)
+        raise CacheStoreError(
+            f"{text!r}: the served HTTP run cache was removed; a run "
+            f"cache is a local .jsonl or .sqlite path"
+        )
     if text.startswith("sqlite:"):
         return "sqlite", Path(text[len("sqlite:"):])
     if text.startswith("jsonl:"):
@@ -77,10 +79,6 @@ def store_identity(path: "str | os.PathLike[str]") -> tuple[str, str]:
     (the session's) never open two handles on one file.
     """
     kind, concrete = parse_store_path(path)
-    if kind == "http":
-        # URLs are their own identity; resolving them as filesystem
-        # paths would mangle the double slash.
-        return kind, os.fspath(path).rstrip("/")
     return kind, str(concrete.expanduser().resolve())
 
 
@@ -95,23 +93,9 @@ def open_store(
     *max_entries* bounds the SQLite backend with LRU eviction; the
     JSONL backend tracks no usage, so combining the two is refused
     rather than silently unbounded. *ttl_s* makes records of either
-    local backend read as misses once older than that many seconds.
-    An ``http(s)://`` URL opens the remote backend — a campaign
-    server's ``/cache`` surface — whose eviction posture lives with
-    the server's own store, so both knobs are refused there.
+    backend read as misses once older than that many seconds.
     """
     kind, concrete = parse_store_path(path)
-    if kind == "http":
-        url = os.fspath(path)
-        if max_entries is not None or ttl_s is not None:
-            raise CacheStoreError(
-                "run_cache_max_entries/run_cache_ttl_s apply to the "
-                "server's own store, not the remote client; configure "
-                "them where `loupe serve --run-cache` runs"
-            )
-        from repro.core.cachestore.remote import RemoteRunCache
-
-        return RemoteRunCache(url)
     if kind == "sqlite":
         return SqliteRunCache(concrete, max_entries=max_entries, ttl_s=ttl_s)
     if max_entries is not None:

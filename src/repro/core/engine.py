@@ -8,18 +8,15 @@ analyzer's implicit run loop into an explicit scheduler that
 * fans run requests out over a pluggable executor —
   ``executor="serial"`` preserves exact serial semantics,
   ``"thread"`` overlaps run *latency* on a ``ThreadPoolExecutor``
-  (enough for I/O-bound real workloads), and ``"process"`` and
-  ``"remote"`` shard CPU-bound runs past the GIL for backends that
-  declare themselves process-safe. ``"auto"`` measures instead of
-  assuming: at ``parallel > 1`` the first scheduling call for a
-  backend runs inline and times each run, and the backend gets threads
-  only when its runs spend longer off the CPU than a thread-pool
-  handoff costs (:meth:`ProbeEngine.mode_for`) — CPU-bound runs, such
-  as the appsim simulation, stay serial. The last two share one chunk
-  scheduler (:meth:`ProbeEngine._dispatch_chunks`) over two
-  transports: the process-wide ``ProcessPoolExecutor``
-  (:class:`_ProcessTransport`) and a TCP worker fleet
-  (:class:`~repro.fabric.executor.FabricExecutor`),
+  (enough for I/O-bound real workloads), and ``"process"`` shards
+  CPU-bound runs past the GIL for backends that declare themselves
+  process-safe, in pickled chunks over the process-wide
+  ``ProcessPoolExecutor`` (:meth:`ProbeEngine._dispatch_chunks`).
+  ``"auto"`` measures instead of assuming: at ``parallel > 1`` the
+  first scheduling call for a backend runs inline and times each run,
+  and the backend gets threads only when its runs spend longer off the
+  CPU than a thread-pool handoff costs (:meth:`ProbeEngine.mode_for`)
+  — CPU-bound runs, such as the appsim simulation, stay serial,
 * accepts whole probe *batches* (:meth:`ProbeEngine.run_probe_batch`):
   every ``(policy, replica)`` pair of an analysis stage is submitted
   up front, so the pool stays full across features instead of
@@ -73,7 +70,7 @@ taxonomy, and — under ``on_fault="degrade"`` — quarantines them as
 :class:`~repro.core.faults.ProbeFault` entries on the outcome instead
 of aborting the campaign. A dead worker does not poison the batch
 either: the chunk scheduler re-enqueues only the runs its transport
-reports lost (bounded by the retry budget), and the process transport
+reports lost (bounded by the retry budget), and the transport
 rebuilds the broken shared pool first.
 
 Accounting invariant: ``runs_requested`` counts every run a caller
@@ -129,9 +126,9 @@ DEFAULT_CACHE_SIZE = 4096
 CacheKey = tuple[str, str, str, int]
 
 #: Accepted values of ``ProbeEngine(executor=...)``.
-EXECUTORS = ("auto", "serial", "thread", "process", "remote")
+EXECUTORS = ("auto", "serial", "thread", "process")
 
-#: Target chunks per transport worker: enough slack for the workers to
+#: Target chunks per pool worker: enough slack for the workers to
 #: load-balance, few enough that per-chunk transfer stays negligible.
 _CHUNKS_PER_WORKER = 8
 
@@ -423,8 +420,7 @@ class _ProcessTransport:
     """The chunk transport over the shared worker-process pool.
 
     Speaks the protocol :meth:`ProbeEngine._dispatch_chunks` drives —
-    ``width``, ``submit(job) -> chunk_id``, ``next_events()`` — exactly
-    like the fleet's :class:`~repro.fabric.executor.FabricExecutor`.
+    ``width``, ``submit(job) -> chunk_id``, ``next_events()``.
     A ``BrokenProcessPool`` dooms every future of the pool, so on a
     break this transport drains all of them at once (survivors that
     completed before the break keep their rows), reports the dead
@@ -612,7 +608,6 @@ class ProbeEngine:
         store: "RunCacheBackend | None" = None,
         fault_policy: "FaultPolicy | None" = None,
         on_notice: "Callable[[object], None] | None" = None,
-        workers: "Sequence[str]" = (),
     ) -> None:
         if parallel < 1:
             raise ValueError("parallel must be >= 1")
@@ -623,11 +618,6 @@ class ProbeEngine:
                 f"unknown executor {executor!r}; choose from: "
                 f"{', '.join(EXECUTORS)}"
             )
-        if executor == "remote" and not workers:
-            raise ValueError(
-                "the remote executor needs at least one worker address "
-                "(workers=('host:port', ...))"
-            )
         if store is not None and not cache:
             # cache=False means "every request reaches the backend";
             # silently ignoring the store the caller asked for would
@@ -637,10 +627,6 @@ class ProbeEngine:
             )
         self.parallel = parallel
         self.executor = executor
-        self.workers = tuple(workers)
-        #: Lazily-connected fabric client (``executor="remote"`` only);
-        #: built on the first remote dispatch, torn down by ``close``.
-        self._fabric = None
         self.cache_enabled = cache
         self.cache_size = cache_size
         self.store = store
@@ -674,18 +660,13 @@ class ProbeEngine:
 
     @property
     def executor_name(self) -> str:
-        """The resolved sharding strategy
-        (``serial``/``thread``/``process``/``remote``).
+        """The resolved sharding strategy (``serial``/``thread``/``process``).
 
         Per-backend capability fallback, and ``auto``'s per-backend
         cost measurement, can still demote an individual scheduling
         call below this (see :meth:`mode_for`); ``auto`` resolves to
-        ``thread`` here, the most it may pick. ``remote`` resolves
-        regardless of ``parallel`` — fleet width comes from the worker
-        count, not this engine's thread budget.
+        ``thread`` here, the most it may pick.
         """
-        if self.executor == "remote":
-            return "remote"
         if self.parallel == 1 or self.executor == "serial":
             return "serial"
         if self.executor == "process":
@@ -695,33 +676,14 @@ class ProbeEngine:
     def close(self) -> None:
         """Release this engine's hold on scheduling state (idempotent).
 
-        Of the chunk scheduler's two transports, the process pool is
-        process-wide and deliberately survives this call for the other
-        engines of the process, as does the thread pool
-        (:func:`shutdown_worker_pools` reclaims both explicitly); the
-        engine stays usable, re-fetching a pool — at the *current*
-        ``parallel`` width — on the next scheduling call. The fleet
-        transport, by contrast, is this engine's own connection: it is
-        torn down here (workers survive a scheduler hangup and serve
-        the next connection). Kept as an explicit lifecycle point so
-        analyzers and sessions can context-manage engines uniformly.
+        The engine owns no pool: the process and thread pools are
+        process-wide and deliberately survive this call for the other
+        engines of the process (:func:`shutdown_worker_pools` reclaims
+        both explicitly); the engine stays usable, re-fetching a pool —
+        at the *current* ``parallel`` width — on the next scheduling
+        call. Kept as an explicit lifecycle point so analyzers and
+        sessions can context-manage engines uniformly.
         """
-        self._close_fabric()
-
-    def _fabric_client(self):
-        """The lazily-connected fleet client (remote executor only)."""
-        if self._fabric is None:
-            # Imported here, not at module level: the fabric worker
-            # imports this module for ``_execute_chunk``.
-            from repro.fabric.executor import FabricExecutor
-
-            self._fabric = FabricExecutor(self.workers).connect()
-        return self._fabric
-
-    def _close_fabric(self) -> None:
-        fabric, self._fabric = self._fabric, None
-        if fabric is not None:
-            fabric.close()
 
     def __enter__(self) -> "ProbeEngine":
         return self
@@ -786,9 +748,8 @@ class ProbeEngine:
             return "serial"
         if self.executor == "auto":
             return self._verdict(self._auto_verdicts, backend) or "measure"
-        if kind in ("process", "remote"):
-            # Both ship the backend as a pickle — to a pool child or
-            # over a socket — so both need the same shardable verdict.
+        if kind == "process":
+            # The backend ships to the pool children as a pickle.
             shardable = self._verdict(self._shard_verdicts, backend)
             if shardable is None:
                 shardable = process_shardable(
@@ -796,7 +757,7 @@ class ProbeEngine:
                 )
                 self._remember(self._shard_verdicts, backend, shardable)
             if not shardable:
-                return "thread" if self.parallel > 1 else "serial"
+                return "thread"
         return kind
 
     def _verdict(self, verdicts: dict, backend: ExecutionBackend):
@@ -1177,20 +1138,16 @@ class ProbeEngine:
                 early_exit,
             )
         elif tasks:
-            transport = self._chunk_transport(mode)
+            transport = _ProcessTransport(self.parallel)
             try:
                 self._dispatch_chunks(
                     transport, backend, workload, tasks, collected,
                     faulted, early_exit,
                 )
             except BaseException:
-                # Drop the chunks still in flight so their late results
-                # cannot leak into the next batch. Fleet workers tolerate
-                # a scheduler hangup; the next remote dispatch reconnects.
-                if mode == "remote":
-                    self._close_fabric()
-                else:
-                    transport.close()
+                # Drop the chunks still queued so their late results
+                # cannot leak into the next batch.
+                transport.close()
                 raise
         # Whatever was asked for but never ran — cancelled in time,
         # skipped by a worker after an in-chunk failure, or never
@@ -1321,12 +1278,6 @@ class ProbeEngine:
                 other.cancel()
             raise
 
-    def _chunk_transport(self, mode: str):
-        """The chunk transport for *mode*: the fleet or the process pool."""
-        if mode == "remote":
-            return self._fabric_client()
-        return _ProcessTransport(self.parallel)
-
     def _dispatch_chunks(
         self,
         transport,
@@ -1339,16 +1290,14 @@ class ProbeEngine:
     ) -> None:
         """Chunk sharding: runs ship in contiguous chunks over *transport*.
 
-        The transport is the shared process pool
-        (:class:`_ProcessTransport`) or the TCP worker fleet
-        (:class:`~repro.fabric.executor.FabricExecutor`); both run the
-        same :func:`_execute_chunk` jobs and report each chunk as
-        ``done`` (its rows), ``failed`` (the exception it raised, which
-        re-raises here) or ``lost`` (its worker died). Chunking
-        amortizes the per-job transfer cost (the backend pickles once
-        per chunk, not once per run) while still cutting the batch
-        finely enough — several chunks per worker of the transport's
-        ``width`` — that the workers load-balance. Early exit degrades
+        The transport (:class:`_ProcessTransport`, over the shared
+        process pool) runs :func:`_execute_chunk` jobs and reports each
+        chunk as ``done`` (its rows), ``failed`` (the exception it
+        raised, which re-raises here) or ``lost`` (its worker died).
+        Chunking amortizes the per-job transfer cost (the backend
+        pickles once per chunk, not once per run) while still cutting
+        the batch finely enough — several chunks per worker of the
+        transport's ``width`` — that the workers load-balance. Early exit degrades
         to chunk granularity: workers skip the later replicas of probes
         that fail within their own chunk, and cross-chunk failures run
         to completion (a queued chunk cannot be retracted).

@@ -33,7 +33,7 @@ import time
 from pathlib import Path
 
 from repro.api.registry import UnknownBackendError, parse_backend_names, resolve_backend
-from repro.server.cache import CacheService, FleetTracker
+from repro.core.cachestore import open_store, parse_store_path
 from repro.server.handlers import CampaignHTTPServer
 from repro.server.jobstore import (
     QUEUED,
@@ -73,6 +73,12 @@ class CampaignServer:
     ) -> None:
         self.data_dir = Path(data_dir)
         self.run_cache = run_cache
+        #: The service-default store's file, resolved now so a bad
+        #: ``run_cache`` (a URL) fails before any state is written,
+        #: not in every job.
+        self._run_cache_file = (
+            None if run_cache is None else parse_store_path(run_cache)[1]
+        )
         self.verbose = verbose
         self.started_at: "float | None" = None
         self.store = JobStore(self.data_dir)
@@ -84,15 +90,6 @@ class CampaignServer:
             max_attempts=max_attempts,
             reaper_interval_s=reaper_interval_s,
         )
-        self.fleet = FleetTracker()
-        self.cache: "CacheService | None" = None
-        if run_cache is not None:
-            # The served cache surface (GET/PUT /cache/<key>): one
-            # long-lived store the whole fleet shares, with
-            # cross-process single-flight claims layered on top.
-            from repro.core.cachestore import open_store
-
-            self.cache = CacheService(open_store(run_cache))
         self._httpd = CampaignHTTPServer((host, port), self)
         self._thread: "threading.Thread | None" = None
         self._closed = False
@@ -159,8 +156,6 @@ class CampaignServer:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
         self.runner.stop(cancel_running=cancel_running)
-        if self.cache is not None:
-            self.cache.close()
         try:
             self.discovery_path.unlink()
         except FileNotFoundError:
@@ -219,26 +214,16 @@ class CampaignServer:
         totals by status (per-state gauges, zeros included), durability
         posture (``queue``: admission limits, drain flag, queue-age
         watermarks; ``attempts``: retry pressure — totals beyond first
-        attempts and the worst offender), and — when a service-default
-        run cache is configured — the store's stats in exactly the
-        ``loupe cache stats --json`` shape, plus the cache surface's
-        counters (hits/misses/single-flight coalescing) and fleet
-        gauges (connected workers, chunks in flight, from worker
-        heartbeats)."""
+        attempts and the worst offender), and ``run_cache``: the
+        service-default store's stats in exactly the ``loupe cache
+        stats --json`` shape, or ``None`` while no such store is
+        configured or no job has created its file yet."""
         store_stats = None
-        cache_counters = None
-        if self.cache is not None:
-            cache_counters = self.cache.counters()
-        if self.run_cache is not None and Path(self.run_cache).exists():
-            # A fresh open per stats call, not the served surface's
-            # long-lived handle: JSONL records appended by concurrent
-            # campaign processes are only visible to new handles.
-            from repro.core.cachestore import open_store
-
+        if self._run_cache_file is not None and self._run_cache_file.exists():
+            # A fresh open per stats call: JSONL records appended by
+            # the jobs' own handles are only visible to new handles.
             with open_store(self.run_cache) as cache:
                 store_stats = cache.stats().to_dict()
-        elif self.cache is not None:
-            store_stats = self.cache.store_stats()
         now = time.time()
         queue_ages = []
         attempts = []
@@ -266,6 +251,4 @@ class CampaignServer:
                 "max_observed": max(attempts, default=0),
             },
             "run_cache": store_stats,
-            "cache": cache_counters,
-            "fleet": self.fleet.gauges(),
         }

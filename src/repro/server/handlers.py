@@ -15,23 +15,7 @@ Method     Path                            Meaning
 ``POST``   ``/admin/drain``                close intake, finish in-flight work
 ``GET``    ``/healthz``                    liveness
 ``GET``    ``/stats``                      queue/worker/store observability
-``GET``    ``/cache/stats``                the served run store's stats
-``GET``    ``/cache/<keyid>``              one cached run (``?claim=1&wait=S``)
-``PUT``    ``/cache/<keyid>``              publish one run record
-``POST``   ``/cache/lookup``               batched cache read
-``POST``   ``/fleet/heartbeat``            a worker's liveness announcement
 =========  ==============================  =====================================
-
-The ``/cache`` family is the fleet's shared run store (present only
-when the server was started with ``--run-cache``; 503 otherwise): the
-*keyid* is the store key's URL token
-(:func:`repro.core.cachestore.remote.encode_key_id`), record bodies
-are the same JSON objects the local backends write as lines, and
-``?claim=1`` joins the cross-process single-flight protocol — a miss
-reply says whether the claim is now this caller's (``{"miss": true,
-"claimed": true}``, plus an ``X-Loupe-Claim: granted`` header), and
-``wait=S`` lets the server hold the reply while another fleet member
-executes. ``/fleet/heartbeat`` feeds the worker gauges in ``/stats``.
 
 Everything speaks JSON except ``/events``, which replays the job's
 ``events.jsonl`` verbatim as ``application/x-ndjson`` — the body *is*
@@ -70,12 +54,7 @@ import math
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.core.cachestore.base import (
-    CacheStoreError,
-    decode_record_meta,
-    encode_record,
-)
-from repro.core.cachestore.remote import decode_key_id, encode_key_id
+from repro.core.cachestore.base import CacheStoreError
 from repro.server.jobstore import (
     STATES,
     JobSpecError,
@@ -141,10 +120,6 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             elif len(parts) == 3 and parts[:1] == ["jobs"] \
                     and parts[2] == "report":
                 self._send_report(parts[1])
-            elif parts == ["cache", "stats"]:
-                self._send_cache_stats()
-            elif len(parts) == 2 and parts[0] == "cache":
-                self._send_cache_get(parts[1], query)
             else:
                 self._send_json(404, {"error": f"no such path: {parsed.path}"})
         except UnknownJobError as error:
@@ -169,13 +144,6 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
                 self._send_json(200, meta.to_dict())
             elif parts == ["admin", "drain"]:
                 self._send_json(200, self.server.campaign.drain())
-            elif parts == ["cache", "lookup"]:
-                self._send_cache_lookup()
-            elif parts == ["fleet", "heartbeat"]:
-                self._send_json(
-                    200,
-                    self.server.campaign.fleet.heartbeat(self._read_body()),
-                )
             else:
                 self._send_json(404, {"error": f"no such path: {parsed.path}"})
         except UnknownJobError as error:
@@ -192,24 +160,6 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         except JobStateError as error:
             self._send_json(409, {"error": str(error)})
         except TornMetaError as error:
-            self._send_json(503, {"error": str(error)})
-        except CacheStoreError as error:
-            self._send_json(503, {"error": str(error)})
-        except ValueError as error:
-            self._send_json(400, {"error": str(error)})
-
-    def do_PUT(self) -> None:
-        parsed = urllib.parse.urlsplit(self.path)
-        parts = [part for part in parsed.path.split("/") if part]
-        try:
-            if len(parts) == 2 and parts[0] == "cache" \
-                    and parts[1] != "stats":
-                self._receive_cache_put(parts[1])
-            else:
-                self._send_json(404, {"error": f"no such path: {parsed.path}"})
-        except JobSpecError as error:
-            self._send_json(400, {"error": str(error)})
-        except CacheStoreError as error:
             self._send_json(503, {"error": str(error)})
         except ValueError as error:
             self._send_json(400, {"error": str(error)})
@@ -274,84 +224,6 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
-
-    # -- the cache surface ---------------------------------------------------
-
-    def _cache_service(self):
-        service = self.server.campaign.cache
-        if service is None:
-            raise CacheStoreError(
-                "this server serves no run cache; restart it with "
-                "`loupe serve --run-cache PATH` to enable the /cache "
-                "surface"
-            )
-        return service
-
-    def _send_cache_stats(self) -> None:
-        service = self._cache_service()
-        self._send_json(200, {
-            "store": service.store_stats(),
-            "counters": service.counters(),
-            "fleet": self.server.campaign.fleet.gauges(),
-        })
-
-    def _send_cache_get(self, key_id: str, query: dict) -> None:
-        service = self._cache_service()
-        key = decode_key_id(key_id)
-        claim = _int_param(query, "claim", 0) != 0
-        wait = _float_param(query, "wait", 0.0)
-        if not math.isfinite(wait) or wait < 0:
-            raise ValueError(
-                f"query parameter 'wait' must be a finite number >= 0, "
-                f"got {wait!r}"
-            )
-        result, claimed = service.fetch(key, claim=claim, wait_s=wait)
-        if result is None:
-            self._send_json(
-                404,
-                {"miss": True, "claimed": claimed},
-                headers={"X-Loupe-Claim": "granted" if claimed else "none"},
-            )
-            return
-        self._send_json(200, json.loads(encode_record(key, result)))
-
-    def _receive_cache_put(self, key_id: str) -> None:
-        service = self._cache_service()
-        key = decode_key_id(key_id)
-        document = self._read_body()
-        try:
-            record_key, result, policy, _created = decode_record_meta(
-                json.dumps(document)
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ValueError(f"malformed cache record: {error}")
-        if record_key != key:
-            raise ValueError(
-                "the record's key does not match the key id in the URL"
-            )
-        service.publish(key, result, policy=policy)
-        body = b""
-        self.send_response(204)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-
-    def _send_cache_lookup(self) -> None:
-        service = self._cache_service()
-        document = self._read_body()
-        keys = document.get("keys") if isinstance(document, dict) else None
-        if not isinstance(keys, list) or not all(
-            isinstance(key_id, str) for key_id in keys
-        ):
-            raise ValueError(
-                'lookup body must be {"keys": ["<keyid>", ...]}'
-            )
-        found = service.lookup([decode_key_id(key_id) for key_id in keys])
-        self._send_json(200, {
-            "hits": {
-                encode_key_id(key): json.loads(encode_record(key, result))
-                for key, result in found.items()
-            },
-        })
 
     # -- plumbing ------------------------------------------------------------
 

@@ -168,9 +168,6 @@ class JobSpec:
     pseudofiles: bool = False
     jobs: int = 1
     executor: str = "auto"
-    #: Fleet addresses for ``executor="remote"`` — a ``host:port``
-    #: list, or the same comma string the CLI's ``--workers`` takes.
-    workers: "tuple | list | str" = ()
     run_cache: "str | None" = None
     run_cache_max_entries: "int | None" = None
     run_cache_ttl: "float | None" = None
@@ -223,28 +220,8 @@ class JobSpec:
         except (ValueError, TypeError) as error:
             raise JobSpecError(f"invalid campaign spec: {error}")
 
-    def __post_init__(self):
-        object.__setattr__(self, "workers", self.worker_list())
-
     def to_dict(self) -> dict:
-        document = dataclasses.asdict(self)
-        document["workers"] = list(self.worker_list())
-        return document
-
-    def worker_list(self) -> tuple:
-        """The ``workers`` field normalized to a tuple of addresses
-        (accepts the CLI's comma string or a JSON list)."""
-        if isinstance(self.workers, str):
-            return tuple(
-                part.strip() for part in self.workers.split(",")
-                if part.strip()
-            )
-        if not all(isinstance(part, str) for part in self.workers):
-            raise JobSpecError(
-                "workers must be a comma string or a list of "
-                "'host:port' strings"
-            )
-        return tuple(self.workers)
+        return dataclasses.asdict(self)
 
     def analyzer_config(self) -> AnalyzerConfig:
         """The spec as the analyzer configuration it describes."""
@@ -254,7 +231,6 @@ class JobSpec:
             pseudo_files=self.pseudofiles,
             parallel=self.jobs,
             executor=self.executor,
-            workers=self.worker_list(),
             run_cache=self.run_cache,
             run_cache_max_entries=self.run_cache_max_entries,
             run_cache_ttl_s=self.run_cache_ttl,

@@ -4,14 +4,16 @@ Covers the `open_store` factory (scheme/extension/magic dispatch), the
 JSONL backend's loaded/stale accounting and `compact()` rewrite, the
 SQLite backend (upsert puts, LRU eviction, live cross-process
 read-through, crash tolerance mid-transaction), jsonl→sqlite
-migration preserving warm campaigns, the session's store-identity
-normalization, and the session-emitted `store_stats` event.
+migration preserving warm campaigns, TTL expiry on both backends and
+its `loupe cache` flags, the session's store-identity normalization,
+and the session-emitted `store_stats` event.
 """
 
 import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -20,6 +22,7 @@ import pytest
 from repro.api.events import StoreStatsEvent
 from repro.api.session import AnalysisRequest, LoupeSession
 from repro.appsim.corpus import build
+from repro.cli import main
 from repro.core.analyzer import AnalyzerConfig
 from repro.core.cachestore import (
     CacheStoreError,
@@ -100,6 +103,18 @@ class TestOpenStoreFactory:
             store.put(_key(), _result())
         with pytest.raises(CacheStoreError, match="not a SQLite"):
             open_store(path)
+
+    def test_url_refused_and_creates_no_file(self, tmp_path, monkeypatch):
+        # Read as a relative path, the URL would name a JSONL file
+        # under ./http:/ and be created silently.
+        monkeypatch.chdir(tmp_path)
+        for url in ("http://127.0.0.1:1/", "https://host:9100"):
+            with pytest.raises(CacheStoreError, match="served HTTP run "
+                               "cache was removed"):
+                open_store(url)
+            with pytest.raises(CacheStoreError):
+                store_identity(url)
+        assert list(tmp_path.iterdir()) == []
 
     def test_store_identity_normalizes_spellings(self, tmp_path,
                                                  monkeypatch):
@@ -386,6 +401,73 @@ class TestMigration:
         assert sqlite_stats.runs_executed == 0
         assert json.dumps(sqlite_result.to_dict(), sort_keys=True) == \
             json.dumps(jsonl_result.to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("suffix", ["runs.jsonl", "runs.sqlite"])
+class TestTTLExpiry:
+    def test_expiry_gc_and_revive(self, tmp_path, suffix):
+        path = tmp_path / suffix
+        with open_store(path, ttl_s=0.05) as store:
+            store.put(_key(), _result())
+            assert store.get(_key()) is not None
+            time.sleep(0.1)
+            # Reads treat the stale record as a miss immediately…
+            assert store.get(_key()) is None
+            assert store.expired() == 1
+            stats = store.stats()
+            assert stats.ttl_s == 0.05
+            assert stats.expired == 1
+            # …and a gc sweep reclaims it.
+            assert store.gc() == 1
+            assert len(store) == 0
+            # A fresh put after expiry revives the key.
+            store.put(_key(), _result())
+            assert store.get(_key()) is not None
+
+    def test_ad_hoc_ttl_on_untimed_store(self, tmp_path, suffix):
+        path = tmp_path / suffix
+        with open_store(path) as store:
+            store.put(_key(), _result())
+            time.sleep(0.05)
+            # No configured TTL: the record never expires on read…
+            assert store.get(_key()) is not None
+            assert store.stats().expired == 0
+            # …but ops may ask with an explicit horizon.
+            assert store.expired(0.01) == 1
+            assert store.expired(3600.0) == 0
+            assert store.gc(ttl_s=0.01) == 1
+            assert len(store) == 0
+
+
+class TestTTLCli:
+    def _warm(self, path):
+        with open_store(path) as store:
+            store.put(_key(), _result())
+
+    def test_stats_ttl_reports_expired(self, tmp_path, capsys):
+        path = str(tmp_path / "runs.jsonl")
+        self._warm(path)
+        time.sleep(0.05)
+        assert main(["cache", "stats", path, "--ttl", "0.01"]) == 0
+        out = capsys.readouterr().out
+        assert "expired: 1" in out
+
+    def test_gc_ttl_sweeps_both_backends(self, tmp_path, capsys):
+        for suffix in ("runs.jsonl", "runs.sqlite"):
+            path = str(tmp_path / suffix)
+            self._warm(path)
+            time.sleep(0.05)
+            assert main(["cache", "gc", path, "--ttl", "0.01"]) == 0
+            assert "evicted 1" in capsys.readouterr().out
+            with open_store(path) as store:
+                assert len(store) == 0
+
+    def test_gc_needs_a_bound(self, tmp_path, capsys):
+        path = str(tmp_path / "runs.sqlite")
+        self._warm(path)
+        capsys.readouterr()
+        assert main(["cache", "gc", path]) == 2
+        assert "--ttl" in capsys.readouterr().err
 
 
 class TestSessionIntegration:

@@ -85,6 +85,26 @@ class TestAnalyze:
         assert code == 2
         assert "--exec requires" in capsys.readouterr().err
 
+    def test_removed_scale_out_surface_is_a_usage_error(self, capsys):
+        for argv in (
+            ["analyze", "--app", "weborf", "--executor", "remote"],
+            ["analyze", "--app", "weborf", "--workers", "h:1"],
+            ["worker", "--port", "0"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv
+        capsys.readouterr()
+
+    def test_analyze_url_run_cache_refused(self, tmp_path, monkeypatch,
+                                           capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["analyze", "--app", "weborf", "--workload", "health",
+                     "--run-cache", "http://x"])
+        assert code != 0
+        assert "served HTTP run cache was removed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_analyze_unknown_backend(self, capsys):
         assert main(["analyze", "--app", "weborf",
                      "--backend", "bogus"]) == 2

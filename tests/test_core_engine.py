@@ -16,6 +16,7 @@ from repro.appsim.backend import SimBackend
 from repro.appsim.behavior import abort, breaks_core, fallback, harmless, ignore
 from repro.appsim.program import SimProgram, SyscallOp, WorkloadProfile
 from repro.core.analyzer import Analyzer, AnalyzerConfig
+from repro.core import engine as engine_module
 from repro.core.engine import EngineStats, ProbeEngine, _execute_chunk
 from repro.core.faults import (
     FAULT_WORKER_CRASH,
@@ -613,8 +614,8 @@ class _FakeTransport:
 
 
 class TestChunkScheduler:
-    """The one chunk scheduler behind the process and remote executors,
-    driven through :class:`_FakeTransport` with scripted worker deaths."""
+    """The chunk scheduler behind the process executor, driven through
+    :class:`_FakeTransport` with scripted worker deaths."""
 
     POLICIES = [
         stubbing("close"), faking("close"), stubbing("uname"), faking("prctl"),
@@ -624,7 +625,9 @@ class TestChunkScheduler:
         engine = ProbeEngine(
             parallel=2, executor="process", cache=False, **knobs
         )
-        monkeypatch.setattr(engine, "_chunk_transport", lambda mode: transport)
+        monkeypatch.setattr(
+            engine_module, "_ProcessTransport", lambda width: transport
+        )
         outcomes = engine.run_probe_batch(
             SimBackend(_mixed_program()), benchmark("b", "m"),
             self.POLICIES, 3, early_exit=False,

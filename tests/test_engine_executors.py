@@ -1,8 +1,7 @@
 """Executor-equivalence tests: sharding never changes conclusions.
 
-The engine's contract is that ``executor="serial"``, ``"thread"``,
-``"process"``, and ``"remote"`` are pure scheduling choices — every
-one of them must
+The engine's contract is that ``executor="serial"``, ``"thread"``
+and ``"process"`` are pure scheduling choices — every one of them must
 produce byte-identical :class:`FeatureReport`s (and therefore
 identical :class:`Database` payloads) for the same analysis. This
 module pins that contract two ways:
@@ -49,16 +48,8 @@ from repro.core.runner import (
 )
 from repro.core.workload import benchmark, health_check
 from repro.db import Database
-from repro.fabric.worker import FabricWorker
 
-EXECUTORS = ("serial", "thread", "process", "remote")
-
-
-@pytest.fixture(scope="module")
-def fleet():
-    """Two live in-process fabric workers for the ``remote`` legs."""
-    with FabricWorker() as one, FabricWorker() as two:
-        yield (one.address, two.address)
+EXECUTORS = ("serial", "thread", "process")
 
 #: Syscalls the generated programs draw ops from.
 _SYSCALLS = ("read", "close", "uname", "prctl", "mmap", "brk", "fcntl")
@@ -99,12 +90,11 @@ def _programs(draw):
     )
 
 
-def _analyze(program, workload, executor, replicas, workers=()):
+def _analyze(program, workload, executor, replicas):
     with Analyzer(AnalyzerConfig(
         replicas=replicas,
         parallel=1 if executor == "serial" else 3,
         executor=executor,
-        workers=workers,
     )) as analyzer:
         return analyzer.analyze(SimBackend(program), workload)
 
@@ -113,19 +103,14 @@ class TestExecutorEquivalenceProperty:
     @settings(max_examples=12, deadline=None)
     @given(program=_programs(), replicas=st.integers(1, 3),
            measured=st.booleans())
-    def test_all_executors_byte_identical(
-        self, fleet, program, replicas, measured
-    ):
+    def test_all_executors_byte_identical(self, program, replicas, measured):
         workload = (
             benchmark("bench", metric_name="req/s")
             if measured else health_check("health")
         )
         reference = _analyze(program, workload, "serial", replicas)
-        for executor in ("thread", "process", "remote"):
-            variant = _analyze(
-                program, workload, executor, replicas,
-                workers=fleet if executor == "remote" else (),
-            )
+        for executor in ("thread", "process"):
+            variant = _analyze(program, workload, executor, replicas)
             assert _digest(variant) == _digest(reference), executor
             for feature, report in reference.features.items():
                 assert variant.features[feature] == report
@@ -149,20 +134,10 @@ class TestExecutorEquivalenceCorpus:
                 assert _digest(left) == _digest(right), (left.app, executor)
             assert _database_payload(results) == reference_payload, executor
 
-    def test_remote_matches_serial(self, corpus_reference, fleet):
-        apps, reference = corpus_reference
-        results = [
-            _analyze_app(app, "remote", workers=fleet) for app in apps
-        ]
-        for left, right in zip(reference, results):
-            assert _digest(left) == _digest(right), (left.app, "remote")
-        assert _database_payload(results) == _database_payload(reference)
 
-
-def _analyze_app(app, executor, workers=()):
+def _analyze_app(app, executor):
     with Analyzer(AnalyzerConfig(
         parallel=1 if executor == "serial" else 4, executor=executor,
-        workers=workers,
     )) as analyzer:
         return analyzer.analyze(
             app.backend(), app.workload("bench"),

@@ -19,6 +19,7 @@ from repro.api.registry import (
 from repro.api.session import LoupeSession
 from repro.cli import main
 from repro.core.analyzer import AnalyzerConfig
+from repro.core.cachestore import CacheStoreError
 from repro.errors import AnalysisCancelledError, LoupeError
 from repro.server import (
     CANCELLED,
@@ -255,7 +256,7 @@ class TestHTTPSurface:
         stats = client.stats()
         assert set(stats) == {
             "queue_depth", "workers", "busy_workers", "jobs",
-            "queue", "attempts", "run_cache", "cache", "fleet",
+            "queue", "attempts", "run_cache",
         }
         assert stats["jobs"]["total"] == 0
         assert all(stats["jobs"][state] == 0 for state in STATES)
@@ -285,6 +286,11 @@ class TestHTTPSurface:
         with pytest.raises(ServiceError) as caught:
             client.submit({"replcias": 2})
         assert caught.value.status == 400
+        # The worker-fleet field went with the remote executor.
+        with pytest.raises(ServiceError) as caught:
+            client.submit({**QUICK_SPEC, "workers": []})
+        assert caught.value.status == 400
+        assert "workers" in caught.value.message
 
     def test_unknown_job_is_404(self, client):
         for call in (
@@ -586,6 +592,10 @@ class TestServerRunCache:
             tmp_path / "svc", workers=1, run_cache=str(cache_path)
         ) as server:
             client = ServiceClient(server.url)
+            # Nothing holds the store open: until a job creates the
+            # file, there are no stats to report.
+            assert client.stats()["run_cache"] is None
+            assert not cache_path.exists()
             meta = client.submit(QUICK_SPEC)
             _wait_until(
                 lambda: client.job(meta["id"])["status"] in TERMINAL_STATES
@@ -601,6 +611,11 @@ class TestServerRunCache:
         # GET /stats embeds exactly the `loupe cache stats --json` shape.
         exit_code = main(["cache", "stats", str(cache_path), "--json"])
         assert exit_code == 0
+
+    def test_url_run_cache_refused_before_any_state(self, tmp_path):
+        with pytest.raises(CacheStoreError, match="served HTTP run cache"):
+            CampaignServer(tmp_path / "svc", run_cache="http://x")
+        assert not (tmp_path / "svc").exists()
 
     def test_explicit_spec_store_wins(self, tmp_path):
         service_cache = tmp_path / "service.jsonl"

@@ -622,6 +622,37 @@ class TestQueryValidation:
         assert client.jobs(state="quarantined") == []
 
 
+class TestOldDataDir:
+    def test_queued_job_with_removed_field_fails_and_server_serves(
+        self, tmp_path
+    ):
+        # A spec.json written before the remote executor was removed
+        # carries a ``workers`` list the spec no longer knows.
+        data_dir = tmp_path / "svc"
+        store = JobStore(data_dir)
+        meta = store.new_job(JobSpec(**QUICK_SPEC))
+        spec_path = store.spec_path(meta.id)
+        spec_path.write_text(json.dumps(
+            {**json.loads(spec_path.read_text()), "workers": []}
+        ))
+        with CampaignServer(data_dir, workers=1) as server:
+            client = ServiceClient(server.url)
+            final = _wait_until(lambda: (
+                client.job(meta.id)["status"] in TERMINAL_STATES
+                and client.job(meta.id)
+            ))
+            assert final["status"] == FAILED
+            assert "workers" in final["reason"]
+            assert _events(server.store, meta.id)[-1]["event"] == "job_failed"
+            assert client.health()["ok"] is True
+            fresh = client.submit(QUICK_SPEC)
+            done = _wait_until(lambda: (
+                client.job(fresh["id"])["status"] in TERMINAL_STATES
+                and client.job(fresh["id"])
+            ))
+            assert done["status"] == DONE
+
+
 class TestShutdownMarkers:
     def test_stop_flushes_terminal_marker_for_running_jobs(self, tmp_path):
         store = JobStore(tmp_path)
