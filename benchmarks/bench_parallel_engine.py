@@ -2,29 +2,20 @@
 
 The paper's run-time model (Section 3.3) is ``(2 + 2·t·s)·ceil(r/p)``:
 Loupe amortizes its run cost over a parallelism factor ``p``. This
-bench makes ``p`` observable in our reproduction, across all three
+bench makes ``p`` observable in our reproduction, across both
 executors and both cache tiers:
 
-* **thread speedup** *(synthetic)* — the seven-app corpus is analyzed
-  once with the seed's strictly-serial semantics (``parallel=1``,
-  cache and early-exit off) and once with the default ``auto``
-  executor (``parallel=4`` replica fan-out plus 4 app-level jobs).
-  Simulated runs complete in microseconds, so each run is padded with
-  a small sleep modeling real workload wall time (the paper quotes 4
-  minutes to 1.5 days per analysis — run latency, not scheduler CPU,
-  is what threads hide); ``auto`` must pick threads for it.
-* **auto on raw appsim** — the same corpus without padding: ``auto``
-  at ``parallel=4`` must resolve to serial and execute exactly the
+* **auto on raw appsim** — the seven-app corpus: ``auto`` at
+  ``parallel=4`` must resolve to serial and execute exactly the
   serial run count. Asserted on counts, not wall time.
 * **process speedup** *(synthetic)* — the same corpus with run cost
-  modeled as
-  *GIL-bound compute*: a process-local lock stands in for the GIL, so
-  in-process worker threads serialize exactly as pure-Python compute
-  does, while worker processes proceed independently. The measured
-  overlap therefore depends only on the engine's sharding — not on
-  how many cores the bench machine happens to have. The acceptance
-  gate is ``executor="process"`` beating the thread path >= 2x at 4
-  shards.
+  modeled as *GIL-bound compute*: a process-local lock stands in for
+  the GIL, so runs in one process serialize exactly as pure-Python
+  compute does, while worker processes proceed independently. The
+  measured overlap therefore depends only on the engine's sharding —
+  not on how many cores the bench machine happens to have. The
+  acceptance gate is ``executor="process"`` beating serial >= 2x at
+  4 shards.
 * **equivalence** — every configuration must produce byte-identical
   ``AnalysisResult``s: the engine changes how fast an analysis runs,
   never what it concludes.
@@ -53,7 +44,6 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -62,7 +52,7 @@ from repro.api.session import AnalysisRequest, LoupeSession
 from repro.appsim.backend import SimBackend
 from repro.appsim.behavior import abort, breaks_core, fallback, harmless, ignore
 from repro.appsim.program import SimProgram, SyscallOp, WorkloadProfile
-from repro.core.analyzer import Analyzer, AnalyzerConfig, estimated_runtime_s
+from repro.core.analyzer import Analyzer, AnalyzerConfig
 from repro.core.engine import EngineStats
 from repro.core.workload import health_check
 
@@ -98,24 +88,6 @@ def _flush_results():
     print(f"\nbench results written to {RESULTS_PATH}")
 
 
-class _TimedBackend:
-    """Wraps a backend so every run costs ``RUN_COST_S`` of wall time
-    (latency-bound: sleeps release the GIL, so threads overlap it)."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.name = inner.name
-
-    def capabilities(self):
-        from repro.core.runner import capabilities_of
-
-        return capabilities_of(self._inner)
-
-    def run(self, workload, policy, *, replica=0):
-        time.sleep(RUN_COST_S)
-        return self._inner.run(workload, policy, replica=replica)
-
-
 #: One lock per process: the stand-in GIL of :class:`_GilBoundBackend`.
 #: Keyed by PID so a forked worker never inherits the parent's lock
 #: state — each process contends only with its own threads, exactly
@@ -137,9 +109,8 @@ class _GilBoundBackend:
     process-local lock models the GIL on pure-Python compute), while
     separate worker processes pay it concurrently. This isolates what
     the process executor buys from how many cores the host exposes —
-    on any machine, threads cannot overlap this cost and processes
-    can, which is precisely the contention the appsim backend's
-    CPU-bound simulation hits at scale."""
+    on any machine, one process cannot overlap this cost and worker
+    processes can."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -158,11 +129,12 @@ class _GilBoundBackend:
 
 def _analyze_corpus(
     apps, workload_name, *,
-    parallel, jobs, cache, early_exit,
-    executor="auto", wrap=_TimedBackend,
+    parallel, cache, early_exit,
+    executor="auto", wrap=None,
 ):
-    """Analyze every app with fresh wrapped backends; returns (results,
-    summed stats, the set of executors the backends' runs got)."""
+    """Analyze every app with fresh (optionally wrapped) backends;
+    returns (results, summed stats, the set of executors the backends'
+    runs got)."""
 
     def one(app):
         analyzer = Analyzer(AnalyzerConfig(
@@ -176,11 +148,7 @@ def _analyze_corpus(
         )
         return result, analyzer.engine.stats, analyzer.engine.mode_for(backend)
 
-    if jobs == 1:
-        rows = [one(app) for app in apps]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, apps))
+    rows = [one(app) for app in apps]
     results = [result for result, _, _ in rows]
     totals = sum((stats for _, stats, _ in rows), EngineStats())
     modes = {mode for _, _, mode in rows}
@@ -191,117 +159,68 @@ def _digest(results):
     return [json.dumps(r.to_dict(), sort_keys=True) for r in results]
 
 
-def test_parallel_engine_speedup(seven_app_set):
+def test_process_shard_speedup(seven_app_set):
+    """Process sharding must beat serial >= 2x on GIL-bound run cost,
+    without changing a byte of any report."""
     apps = _reduced(seven_app_set)
+    reference, _, _ = _analyze_corpus(
+        apps, "bench", parallel=1, cache=True, early_exit=True,
+    )
+
     started = time.monotonic()
     serial_results, serial_stats, _ = _analyze_corpus(
         apps, "bench",
-        parallel=1, jobs=1, cache=False, early_exit=False,
+        parallel=1, cache=True, early_exit=True,
+        executor="serial", wrap=_GilBoundBackend,
     )
     serial_s = time.monotonic() - started
 
     started = time.monotonic()
-    parallel_results, parallel_stats, modes = _analyze_corpus(
-        apps, "bench",
-        parallel=PARALLEL, jobs=PARALLEL, cache=True, early_exit=True,
-    )
-    parallel_s = time.monotonic() - started
-    speedup = serial_s / parallel_s
-
-    print(f"\n=== [synthetic] Thread sharding: {len(apps)}-app corpus "
-          f"(bench) ===")
-    print(f"run cost model: {RUN_COST_S * 1000:.1f} ms of latency per run")
-    print(f"serial   (p=1, no cache, no early-exit): {serial_s:6.2f}s  "
-          f"[{serial_stats.describe()}]")
-    print(f"auto     (p={PARALLEL}, {PARALLEL} jobs, cache, early-exit): "
-          f"{parallel_s:6.2f}s  [{parallel_stats.describe()}]")
-    print(f"speedup: {speedup:.2f}x")
-    model = estimated_runtime_s(1.0, 40, replicas=3, parallel=1) / \
-        estimated_runtime_s(1.0, 40, replicas=3, parallel=3)
-    print(f"(paper model predicts {model:.0f}x from replica fan-out alone)")
-
-    _RESULTS["thread"] = {
-        "synthetic": True,
-        "apps": len(apps),
-        "serial_s": round(serial_s, 3),
-        "thread_s": round(parallel_s, 3),
-        "speedup": round(speedup, 2),
-        "cache_hit_rate": round(parallel_stats.hit_rate, 3),
-    }
-    # The engine only reschedules runs — it must not change conclusions.
-    assert _digest(parallel_results) == _digest(serial_results)
-    # Runs that wait off the CPU are what auto hands to threads.
-    assert modes == {"thread"}, modes
-    # The acceptance point: >= 2x wall-clock at parallelism 4.
-    floor = 2.0 if len(apps) == len(seven_app_set) else 1.3
-    assert speedup >= floor, f"only {speedup:.2f}x at parallel={PARALLEL}"
-
-
-def test_process_shard_speedup(seven_app_set):
-    """Process sharding must beat the PR 1 thread path >= 2x on
-    GIL-bound run cost, without changing a byte of any report."""
-    apps = _reduced(seven_app_set)
-    serial_results, _, _ = _analyze_corpus(
-        apps, "bench",
-        parallel=1, jobs=1, cache=True, early_exit=True, wrap=None,
-    )
-
-    started = time.monotonic()
-    thread_results, thread_stats, _ = _analyze_corpus(
-        apps, "bench",
-        parallel=PARALLEL, jobs=1, cache=True, early_exit=True,
-        executor="thread", wrap=_GilBoundBackend,
-    )
-    thread_s = time.monotonic() - started
-
-    started = time.monotonic()
     process_results, process_stats, _ = _analyze_corpus(
         apps, "bench",
-        parallel=PARALLEL, jobs=1, cache=True, early_exit=True,
+        parallel=PARALLEL, cache=True, early_exit=True,
         executor="process", wrap=_GilBoundBackend,
     )
     process_s = time.monotonic() - started
-    speedup = thread_s / process_s
+    speedup = serial_s / process_s
 
     print(f"\n=== [synthetic] Process sharding: {len(apps)}-app corpus, "
           f"GIL-bound "
           f"cost ({RUN_COST_S * 1000:.1f} ms/run) ===")
-    print(f"threads   (p={PARALLEL}): {thread_s:6.2f}s  "
-          f"[{thread_stats.describe()}]")
+    print(f"serial    (p=1): {serial_s:6.2f}s  "
+          f"[{serial_stats.describe()}]")
     print(f"processes (p={PARALLEL}): {process_s:6.2f}s  "
           f"[{process_stats.describe()}]")
-    print(f"process-over-thread speedup: {speedup:.2f}x")
+    print(f"process-over-serial speedup: {speedup:.2f}x")
 
     _RESULTS["process"] = {
         "synthetic": True,
         "apps": len(apps),
-        "thread_s": round(thread_s, 3),
+        "serial_s": round(serial_s, 3),
         "process_s": round(process_s, 3),
-        "speedup_over_thread": round(speedup, 2),
+        "speedup_over_serial": round(speedup, 2),
         "runs_executed": process_stats.runs_executed,
     }
-    # Sharding across processes must not change conclusions either.
-    assert _digest(process_results) == _digest(serial_results)
-    assert _digest(thread_results) == _digest(serial_results)
-    # The tentpole acceptance point: >= 2x over the thread path.
+    # Sharding across processes must not change conclusions.
+    assert _digest(process_results) == _digest(reference)
+    assert _digest(serial_results) == _digest(reference)
+    # The acceptance point: >= 2x over serial at 4 shards.
     floor = 2.0 if len(apps) == len(seven_app_set) else 1.3
     assert speedup >= floor, (
-        f"process sharding only {speedup:.2f}x over threads"
+        f"process sharding only {speedup:.2f}x over serial"
     )
 
 
 def test_auto_serial_on_raw_appsim(seven_app_set):
-    """Unpadded appsim runs never leave the CPU, so ``auto`` at
-    parallel=4 must settle on serial and execute exactly the runs a
+    """Appsim declares no ``real_execution``, so ``auto`` at
+    parallel=4 must resolve to serial and execute exactly the runs a
     serial campaign executes (counts, not wall time)."""
     apps = _reduced(seven_app_set)
     serial_results, serial_stats, _ = _analyze_corpus(
-        apps, "bench",
-        parallel=1, jobs=1, cache=True, early_exit=True, wrap=None,
+        apps, "bench", parallel=1, cache=True, early_exit=True,
     )
     auto_results, auto_stats, modes = _analyze_corpus(
-        apps, "bench",
-        parallel=PARALLEL, jobs=1, cache=True, early_exit=True, wrap=None,
+        apps, "bench", parallel=PARALLEL, cache=True, early_exit=True,
     )
 
     print(f"\n=== auto on raw appsim: {len(apps)}-app corpus (bench) ===")

@@ -141,8 +141,9 @@ def register_chaos(
     *spec* (a :class:`~repro.core.faults.ChaosSpec`; ``None`` means
     the spec's inert defaults). Injection is seeded and deterministic
     per run identity, so a chaos campaign is exactly reproducible —
-    this is the harness the fault-tolerance tests and the CI
-    fault-smoke job drive. Returns the registered name.
+    this is the harness the fault-tolerance tests drive
+    (``tests/test_e2e_faults.py`` through the real CLI). Returns the
+    registered name.
 
     Resolution of *inner* is deferred to analysis time (the wrapper
     factory resolves it per request), so registration order between

@@ -969,13 +969,12 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=EXECUTORS,
                          default="auto",
                          help="probe sharding strategy at --jobs > 1: "
-                              "auto times the baseline runs and uses "
-                              "threads only for runs that wait off the "
-                              "CPU (serial otherwise), "
-                              "threads overlap run latency, processes "
-                              "shard CPU-bound simulated runs past the "
-                              "GIL (backends that cannot shard fall "
-                              "back automatically; default: auto)")
+                              "process shards runs over worker "
+                              "processes (backends that cannot shard "
+                              "run serially), auto uses processes "
+                              "only for real-execution backends that "
+                              "can shard (serial otherwise; default: "
+                              "auto)")
     analyze.add_argument("--run-cache", metavar="PATH", default=None,
                          help="persistent run-cache store; repeated "
                               "campaigns over the same path start "
@@ -1027,8 +1026,9 @@ def build_parser() -> argparse.ArgumentParser:
                          default="auto",
                          help="probe sharding strategy per target at "
                               "--jobs > 1, as for analyze (auto: "
-                              "threads only for runs that wait off "
-                              "the CPU, serial otherwise)")
+                              "processes only for real-execution "
+                              "backends that can shard, serial "
+                              "otherwise)")
     compare.add_argument("--events", choices=("jsonl",), default=None,
                          help="stream analysis progress events (incl. "
                               "target_started/target_finished and the "
@@ -1275,9 +1275,10 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=EXECUTORS,
                         default="auto",
                         help="probe sharding strategy inside the "
-                             "campaign, as for analyze (auto: threads "
-                             "only for runs that wait off the CPU, "
-                             "serial otherwise)")
+                             "campaign, as for analyze (auto: "
+                             "processes only for real-execution "
+                             "backends that can shard, serial "
+                             "otherwise)")
     submit.add_argument("--run-cache", metavar="PATH", default=None,
                         help="persistent run cache for this job "
                              "(default: the server's --run-cache, "

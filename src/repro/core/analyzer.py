@@ -18,8 +18,8 @@ workload, the analyzer:
 
 Every run goes through a :class:`~repro.core.engine.ProbeEngine` — the
 paper's parallelism factor ``p`` made concrete: ``AnalyzerConfig.parallel``
-fans runs over a worker pool (``AnalyzerConfig.executor`` picks thread
-or process sharding, or lets ``auto`` choose from measured run cost),
+fans runs over a worker pool (``AnalyzerConfig.executor`` picks process
+sharding, or lets ``auto`` choose from the backend's capabilities),
 ``AnalyzerConfig.cache`` memoizes run results so
 the confirmation/bisection stages reuse probe-phase runs,
 ``AnalyzerConfig.run_cache`` extends that memoization to an on-disk
@@ -108,14 +108,12 @@ class AnalyzerConfig:
     #: factor ``p`` in ``(2 + 2·t·s)·ceil(r/p)``. ``1`` preserves the
     #: historical strictly-serial execution order.
     parallel: int = 1
-    #: Sharding strategy at ``parallel > 1``: ``"thread"`` overlaps run
-    #: latency, ``"process"`` shards CPU-bound runs past the GIL for
-    #: backends that declare themselves process-safe (others degrade
-    #: to threads; non-parallel-safe backends always run serially),
-    #: ``"serial"`` disables sharding, and ``"auto"`` times the
-    #: baseline runs inline and picks threads only when they spend
-    #: longer off the CPU than a thread handoff costs — serial
-    #: otherwise, as for the CPU-bound appsim simulation.
+    #: Sharding strategy at ``parallel > 1``: ``"process"`` shards runs
+    #: over worker processes for backends that declare themselves
+    #: parallel- and process-safe (others run serially), ``"serial"``
+    #: disables sharding, and ``"auto"`` picks processes only for such
+    #: backends that also declare ``real_execution`` — serial
+    #: otherwise, as for the appsim simulation and ``static``.
     executor: str = "auto"
     #: Memoize run results so the combined-run confirmation and the
     #: ddmin bisection never re-execute a run the probe phase paid for.
@@ -671,20 +669,12 @@ class Analyzer:
         wave shrinks to a single feature — the exact historical
         streaming.
         """
-        mode = self.engine.mode_for(backend)
-        if mode == "serial":
+        if self.engine.mode_for(backend) == "serial":
             wave = 1
-        elif mode == "process":
-            # Chunked IPC makes wave boundaries costlier than in the
-            # thread pool, and process-shardable backends are fast
-            # simulations — trade some event granularity for keeping
-            # the workers fed.
-            wave = max(32, 8 * self.engine.parallel)
         else:
-            # A few features per worker keeps the pool full inside a
-            # wave while the drain bubble at each wave boundary stays
-            # a tiny fraction of the wave's runs.
-            wave = max(8, 2 * self.engine.parallel)
+            # Chunked IPC makes wave boundaries costly — trade some
+            # event granularity for keeping the workers fed.
+            wave = max(32, 8 * self.engine.parallel)
         actions = (Action.STUB, Action.FAKE)
         probes: dict[str, _FeatureProbe] = {}
         for start in range(0, len(ordered), wave):

@@ -50,6 +50,7 @@ from repro.core.cachestore.verify import (
 )
 from repro.core.cachestore.factory import (
     SQLITE_SUFFIXES,
+    check_store,
     migrate_store,
     open_store,
     parse_store_path,
@@ -67,6 +68,7 @@ __all__ = [
     "SqliteRunCache",
     "StoreKey",
     "StoreStats",
+    "check_store",
     "decode_record",
     "decode_record_full",
     "decode_record_meta",

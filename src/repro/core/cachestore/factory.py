@@ -71,6 +71,29 @@ def parse_store_path(
     return "jsonl", concrete
 
 
+def check_store(
+    path: "str | os.PathLike[str]",
+    *,
+    max_entries: "int | None" = None,
+) -> tuple[str, Path]:
+    """:func:`parse_store_path`, refusing what no store can open.
+
+    The one rule for a run-cache request: a URL is refused (see
+    :func:`parse_store_path`), and so is *max_entries* on a path that
+    opens as jsonl — that backend tracks no usage, so the cap would
+    silently not hold. :func:`open_store` checks through here, and so
+    does the campaign service at submit time, before any job exists.
+    """
+    kind, concrete = parse_store_path(path)
+    if kind != "sqlite" and max_entries is not None:
+        raise CacheStoreError(
+            f"run_cache_max_entries requires the sqlite backend; "
+            f"{os.fspath(path)!r} opens as jsonl (name it *.sqlite or "
+            f"prefix it with sqlite:)"
+        )
+    return kind, concrete
+
+
 def store_identity(path: "str | os.PathLike[str]") -> tuple[str, str]:
     """A canonical ``(kind, absolute path)`` identity for *path*.
 
@@ -90,20 +113,14 @@ def open_store(
 ) -> RunCacheBackend:
     """Open the run-cache store *path* names (see the module table).
 
-    *max_entries* bounds the SQLite backend with LRU eviction; the
-    JSONL backend tracks no usage, so combining the two is refused
-    rather than silently unbounded. *ttl_s* makes records of either
-    backend read as misses once older than that many seconds.
+    *max_entries* bounds the SQLite backend with LRU eviction (on a
+    jsonl path it is refused, see :func:`check_store`). *ttl_s* makes
+    records of either backend read as misses once older than that
+    many seconds.
     """
-    kind, concrete = parse_store_path(path)
+    kind, concrete = check_store(path, max_entries=max_entries)
     if kind == "sqlite":
         return SqliteRunCache(concrete, max_entries=max_entries, ttl_s=ttl_s)
-    if max_entries is not None:
-        raise CacheStoreError(
-            f"run_cache_max_entries requires the sqlite backend; "
-            f"{os.fspath(path)!r} opens as jsonl (name it *.sqlite or "
-            f"prefix it with sqlite:)"
-        )
     return JsonlRunCache(concrete, ttl_s=ttl_s)
 
 

@@ -6,17 +6,16 @@ This module supplies that ``p``: a :class:`ProbeEngine` turns the
 analyzer's implicit run loop into an explicit scheduler that
 
 * fans run requests out over a pluggable executor —
-  ``executor="serial"`` preserves exact serial semantics,
-  ``"thread"`` overlaps run *latency* on a ``ThreadPoolExecutor``
-  (enough for I/O-bound real workloads), and ``"process"`` shards
-  CPU-bound runs past the GIL for backends that declare themselves
-  process-safe, in pickled chunks over the process-wide
-  ``ProcessPoolExecutor`` (:meth:`ProbeEngine._dispatch_chunks`).
-  ``"auto"`` measures instead of assuming: at ``parallel > 1`` the
-  first scheduling call for a backend runs inline and times each run,
-  and the backend gets threads only when its runs spend longer off the
-  CPU than a thread-pool handoff costs (:meth:`ProbeEngine.mode_for`)
-  — CPU-bound runs, such as the appsim simulation, stay serial,
+  ``executor="serial"`` preserves exact serial semantics, and
+  ``"process"`` shards runs over worker processes for backends that
+  declare themselves process-safe, in pickled chunks over the
+  process-wide ``ProcessPoolExecutor``
+  (:meth:`ProbeEngine._dispatch_chunks`). ``"auto"`` decides from the
+  capability contract alone, before any run: at ``parallel > 1`` a
+  backend gets processes only when its runs execute a real program
+  (``real_execution``) and it can shard (:meth:`ProbeEngine.mode_for`)
+  — simulated runs, such as appsim's, cost less than shipping them,
+  so they stay serial,
 * accepts whole probe *batches* (:meth:`ProbeEngine.run_probe_batch`):
   every ``(policy, replica)`` pair of an analysis stage is submitted
   up front, so the pool stays full across features instead of
@@ -53,7 +52,7 @@ version in their backend name for exactly this reason).
 
 Executor fallback is per-backend and always conservative: a backend
 whose capabilities do not include ``parallel_safe`` runs serially no
-matter what was requested; a ``process`` request degrades to threads
+matter what was requested; a ``process`` request degrades to serial
 when the backend fails :func:`~repro.core.runner.process_shardable`
 (capabilities without ``process_safe``, or not picklable). Capability
 descriptors resolve once per backend object through
@@ -84,11 +83,9 @@ from __future__ import annotations
 import atexit
 import concurrent.futures
 import dataclasses
-import functools
 import itertools
 import multiprocessing
 import threading
-import time
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from concurrent.futures.process import BrokenProcessPool
@@ -126,29 +123,18 @@ DEFAULT_CACHE_SIZE = 4096
 CacheKey = tuple[str, str, str, int]
 
 #: Accepted values of ``ProbeEngine(executor=...)``.
-EXECUTORS = ("auto", "serial", "thread", "process")
+EXECUTORS = ("auto", "serial", "process")
 
 #: Target chunks per pool worker: enough slack for the workers to
 #: load-balance, few enough that per-chunk transfer stays negligible.
 _CHUNKS_PER_WORKER = 8
 
-#: No-op round trips through a thread pool that
-#: :func:`_thread_handoff_s` times; their median is the handoff cost.
-_HANDOFF_TRIPS = 9
-
-#: The process-wide shared worker pools (see :func:`_shared_process_pool`
-#: and :func:`_shared_thread_pool`). Starting worker processes is the
-#: single most expensive thing this module does — every engine of the
-#: process shares one pool instead of paying it per analysis. The
-#: thread pool is shared for a different reason: concurrent analyzers
-#: (``analyze_many(jobs=N)``) each sizing a private probe pool would
-#: multiply ``jobs × parallel`` threads and oversubscribe the machine;
-#: one shared pool caps probe concurrency at the widest ``parallel``
-#: requested, no matter how many analyses run at once.
+#: The process-wide shared worker pool (see :func:`_shared_process_pool`).
+#: Starting worker processes is the single most expensive thing this
+#: module does — every engine of the process shares one pool instead
+#: of paying it per analysis.
 _PROCESS_POOL: "concurrent.futures.ProcessPoolExecutor | None" = None
 _PROCESS_POOL_WIDTH = 0
-_THREAD_POOL: "concurrent.futures.ThreadPoolExecutor | None" = None
-_THREAD_POOL_WIDTH = 0
 _POOL_LOCK = threading.Lock()
 #: Pools displaced by a wider request. They stay alive — an engine
 #: that fetched one may still be mid-batch, and shutting it down under
@@ -156,7 +142,7 @@ _POOL_LOCK = threading.Lock()
 #: :func:`shutdown_worker_pools` reclaims everything. Bounded by the
 #: number of distinct pool growths in one process (rare: campaigns
 #: run at one width).
-_RETIRED_POOLS: list[concurrent.futures.Executor] = []
+_RETIRED_POOLS: list[concurrent.futures.ProcessPoolExecutor] = []
 
 
 def _process_context() -> "multiprocessing.context.BaseContext":
@@ -181,13 +167,13 @@ def _shared_process_pool(width: int) -> concurrent.futures.Executor:
     """The process-wide worker-process pool, at least *width* wide.
 
     Worker processes are expensive to start (fork-eagerly, or a full
-    interpreter under spawn/forkserver) and — unlike threads — hold no
-    per-analysis state: tasks carry everything they need. So one pool
-    serves every engine of the process, created on first use and
-    grown (never shrunk) when a wider engine comes along; a campaign
-    over N applications pays pool start-up once, not N times.
+    interpreter under spawn/forkserver) and hold no per-analysis
+    state: tasks carry everything they need. So one pool serves every
+    engine of the process, created on first use and grown (never
+    shrunk) when a wider engine comes along; a campaign over N
+    applications pays pool start-up once, not N times.
     ``ProbeEngine.close()`` deliberately leaves it alone; call
-    :func:`shutdown_process_pool` to reclaim the workers explicitly.
+    :func:`shutdown_worker_pools` to reclaim the workers explicitly.
     """
     global _PROCESS_POOL, _PROCESS_POOL_WIDTH
     with _POOL_LOCK:
@@ -205,108 +191,6 @@ def _shared_process_pool(width: int) -> concurrent.futures.Executor:
             pool.submit(int).result()
             _PROCESS_POOL, _PROCESS_POOL_WIDTH = pool, width
         return _PROCESS_POOL
-
-
-def _new_thread_pool(width: int) -> concurrent.futures.ThreadPoolExecutor:
-    """Build a probe thread pool (split out so tests can count it)."""
-    return concurrent.futures.ThreadPoolExecutor(
-        max_workers=width, thread_name_prefix="loupe-probe"
-    )
-
-
-def _shared_thread_pool(width: int) -> concurrent.futures.Executor:
-    """The process-wide probe thread pool, at least *width* wide.
-
-    One pool serves every engine of the process, so app-level
-    concurrency (``analyze_many(jobs=N)``, each job with its own
-    analyzer and engine) and probe-level parallelism compose instead
-    of multiplying: total in-flight probe runs are capped by the
-    widest ``parallel`` any engine asked for, not ``jobs × parallel``.
-    Grown (never shrunk) when a wider engine comes along — displaced
-    pools retire until :func:`shutdown_worker_pools` reclaims them,
-    exactly like the process pool.
-    """
-    global _THREAD_POOL, _THREAD_POOL_WIDTH
-    with _POOL_LOCK:
-        if _THREAD_POOL is None or _THREAD_POOL_WIDTH < width:
-            if _THREAD_POOL is not None:
-                _RETIRED_POOLS.append(_THREAD_POOL)
-            _THREAD_POOL = _new_thread_pool(width)
-            _THREAD_POOL_WIDTH = width
-        return _THREAD_POOL
-
-
-@functools.cache
-def _thread_handoff_s() -> float:
-    """What handing one run to a pool thread and collecting it costs,
-    in seconds.
-
-    Measured once per process as the median of a few no-op round
-    trips; it is the least a run must spend off the CPU — waiting,
-    which other threads can overlap — for threads to pay off. The
-    trips go through a private one-thread pool, so runs queued on the
-    shared probe pool by other engines cannot inflate the figure.
-    """
-    trips = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
-        pool.submit(int).result()  # start the thread outside the timing
-        for _ in range(_HANDOFF_TRIPS):
-            start = time.perf_counter()
-            pool.submit(int).result()
-            trips.append(time.perf_counter() - start)
-    return sorted(trips)[len(trips) // 2]
-
-
-class _RunTimer:
-    """Stands in for a backend while ``auto`` measures it.
-
-    Records each completed run's off-CPU time — wall clock minus the
-    CPU time of the thread that ran it — which is the only part of a
-    run a GIL-bound thread pool can overlap. Timing on the executing
-    thread keeps a fault policy's timeout thread out of the figure.
-    """
-
-    def __init__(self, backend: ExecutionBackend) -> None:
-        self._backend = backend
-        self.off_cpu_s: list[float] = []
-
-    def run(
-        self,
-        workload: Workload,
-        policy: InterpositionPolicy,
-        *,
-        replica: int = 0,
-    ) -> RunResult:
-        wall, cpu = time.perf_counter(), time.thread_time()
-        result = self._backend.run(workload, policy, replica=replica)
-        self.off_cpu_s.append(
-            (time.perf_counter() - wall) - (time.thread_time() - cpu)
-        )
-        return result
-
-
-def shutdown_process_pool() -> None:
-    """Shut the shared worker-process pool down (idempotent).
-
-    The next process-sharded run transparently starts a fresh pool.
-    Long-lived embedders can call it to reclaim the worker processes
-    while keeping the (cheap) thread pool warm;
-    :func:`shutdown_worker_pools` reclaims both.
-    """
-    global _PROCESS_POOL, _PROCESS_POOL_WIDTH
-    with _POOL_LOCK:
-        pools = [
-            pool for pool in _RETIRED_POOLS
-            if isinstance(pool, concurrent.futures.ProcessPoolExecutor)
-        ]
-        for pool in pools:
-            _RETIRED_POOLS.remove(pool)
-        if _PROCESS_POOL is not None:
-            pools.append(_PROCESS_POOL)
-        _PROCESS_POOL = None
-        _PROCESS_POOL_WIDTH = 0
-    for pool in pools:
-        pool.shutdown(wait=True)
 
 
 def _replace_broken_process_pool(broken: concurrent.futures.Executor) -> None:
@@ -328,30 +212,22 @@ def _replace_broken_process_pool(broken: concurrent.futures.Executor) -> None:
 
 
 def shutdown_worker_pools() -> None:
-    """Shut both shared worker pools down (idempotent).
+    """Shut the shared worker-process pool down (idempotent).
 
-    The next scheduled run transparently starts fresh pools.
+    The next process-sharded run transparently starts a fresh pool.
     Registered at interpreter exit; long-lived embedders can call it
-    earlier to reclaim the worker threads and processes — including
-    while other threads are mid-batch: shutdown waits for in-flight
-    runs, and the thread-sharded submit loop re-fetches a replacement
-    pool when it finds its pool shut.
+    earlier to reclaim the worker processes.
     """
-    global _THREAD_POOL, _THREAD_POOL_WIDTH
+    global _PROCESS_POOL, _PROCESS_POOL_WIDTH
     with _POOL_LOCK:
-        pools: list[concurrent.futures.Executor] = [
-            pool for pool in _RETIRED_POOLS
-            if isinstance(pool, concurrent.futures.ThreadPoolExecutor)
-        ]
-        for pool in pools:
-            _RETIRED_POOLS.remove(pool)
-        if _THREAD_POOL is not None:
-            pools.append(_THREAD_POOL)
-        _THREAD_POOL = None
-        _THREAD_POOL_WIDTH = 0
+        pools = list(_RETIRED_POOLS)
+        _RETIRED_POOLS.clear()
+        if _PROCESS_POOL is not None:
+            pools.append(_PROCESS_POOL)
+        _PROCESS_POOL = None
+        _PROCESS_POOL_WIDTH = 0
     for pool in pools:
         pool.shutdown(wait=True)
-    shutdown_process_pool()
 
 
 atexit.register(shutdown_worker_pools)
@@ -550,14 +426,12 @@ class ProbeEngine:
         inline on the calling thread, byte-for-byte preserving the
         serial execution order, regardless of *executor*.
     executor:
-        The sharding strategy at ``parallel > 1``: ``"thread"`` fans
-        runs over a ``ThreadPoolExecutor`` (overlaps run latency;
-        CPU-bound backends stay GIL-capped), ``"process"`` shards them
-        over a ``ProcessPoolExecutor`` (full CPU scaling, for backends
-        passing :func:`~repro.core.runner.process_shardable` —
-        others degrade to threads), ``"serial"`` disables sharding
-        outright, and ``"auto"`` (the default) picks serial or threads
-        per backend from the measured cost of its first runs (see
+        The sharding strategy at ``parallel > 1``: ``"process"``
+        shards runs over a ``ProcessPoolExecutor`` (for backends
+        passing :func:`~repro.core.runner.process_shardable` — others
+        run serially), ``"serial"`` disables sharding outright, and
+        ``"auto"`` (the default) gives processes only to real-execution
+        backends that can shard, serial to the rest (see
         :meth:`mode_for`).
     cache:
         Enable run-result memoization. Disabling it forces every
@@ -652,34 +526,28 @@ class ProbeEngine:
         #: id(backend) -> (backend, process_shardable(backend)); same
         #: id-pinning contract as the capability cache.
         self._shard_verdicts: dict[int, tuple[object, bool]] = {}
-        #: id(backend) -> (backend, "serial" | "thread"): what ``auto``
-        #: settled on for the backend; same id-pinning contract.
-        self._auto_verdicts: dict[int, tuple[object, str]] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
     @property
     def executor_name(self) -> str:
-        """The resolved sharding strategy (``serial``/``thread``/``process``).
+        """The resolved sharding strategy (``serial``/``process``).
 
-        Per-backend capability fallback, and ``auto``'s per-backend
-        cost measurement, can still demote an individual scheduling
-        call below this (see :meth:`mode_for`); ``auto`` resolves to
-        ``thread`` here, the most it may pick.
+        Per-backend capability fallback can still demote an individual
+        backend to serial (see :meth:`mode_for`); ``auto`` resolves to
+        ``process`` here, the most it may pick.
         """
         if self.parallel == 1 or self.executor == "serial":
             return "serial"
-        if self.executor == "process":
-            return "process"
-        return "thread"
+        return "process"
 
     def close(self) -> None:
         """Release this engine's hold on scheduling state (idempotent).
 
-        The engine owns no pool: the process and thread pools are
-        process-wide and deliberately survive this call for the other
+        The engine owns no pool: the worker-process pool is
+        process-wide and deliberately survives this call for the other
         engines of the process (:func:`shutdown_worker_pools` reclaims
-        both explicitly); the engine stays usable, re-fetching a pool —
+        it explicitly); the engine stays usable, re-fetching the pool —
         at the *current* ``parallel`` width — on the next scheduling
         call. Kept as an explicit lifecycle point so analyzers and
         sessions can context-manage engines uniformly.
@@ -690,15 +558,6 @@ class ProbeEngine:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def _pool(self, kind: str) -> concurrent.futures.Executor:
-        # Both pool kinds are process-wide: worker processes because
-        # they are stateless and expensive to start, worker threads so
-        # concurrent analyzers share one probe budget instead of
-        # stacking jobs × parallel threads.
-        if kind == "process":
-            return _shared_process_pool(self.parallel)
-        return _shared_thread_pool(self.parallel)
 
     def capabilities_for(self, backend: ExecutionBackend) -> BackendCapabilities:
         """The backend's capability descriptor, resolved once per object.
@@ -716,49 +575,31 @@ class ProbeEngine:
     def mode_for(self, backend: ExecutionBackend) -> str:
         """The executor one backend's probes actually get.
 
-        Sharding of any kind requires the backend's capability
-        contract to declare ``parallel_safe``: overlapping replicas of
-        a live command (the ptrace backend) would contend on ports and
-        on-disk state and corrupt each other's outcomes. Process
-        sharding additionally requires the backend to survive
-        pickling; declared-but-unshardable backends degrade to the
-        thread pool rather than failing inside it. The (potentially
-        costly) pickle check runs once per backend object, not once
-        per scheduling call — the verdict cannot change mid-analysis.
-
-        ``auto`` gives a parallel-safe backend threads only when they
-        can overlap something: the backend's first scheduling call
-        that executes runs (the analyzer's passthrough baseline) runs
-        inline, timing each run, and threads win only if the smallest
-        off-CPU time per run exceeds a thread-pool handoff (measured
-        once per process). Until that call has measured, the backend
-        runs serially.
+        Sharding requires the backend's capability contract to declare
+        ``parallel_safe``: overlapping replicas of a live command would
+        contend on ports and on-disk state and corrupt each other's
+        outcomes. It also requires the backend to pass
+        :func:`~repro.core.runner.process_shardable` (``process_safe``
+        declared, and it survives pickling); declared-but-unshardable
+        backends run serially rather than failing inside the pool.
+        ``auto`` further requires ``real_execution``: a simulated run
+        costs less than shipping it to a worker, so simulations stay
+        serial. The verdict follows from the contract alone, so it is
+        known before any run; the (potentially costly) pickle check
+        runs once per backend object.
         """
-        mode = self._mode(backend)
-        return "serial" if mode == "measure" else mode
-
-    def _mode(self, backend: ExecutionBackend) -> str:
-        """:meth:`mode_for`, or ``"measure"`` while ``auto`` has no
-        verdict for *backend* yet."""
-        kind = self.executor_name
-        if kind == "serial":
+        if self.executor_name == "serial":
             return "serial"
         capabilities = self.capabilities_for(backend)
         if not capabilities.parallel_safe:
             return "serial"
-        if self.executor == "auto":
-            return self._verdict(self._auto_verdicts, backend) or "measure"
-        if kind == "process":
-            # The backend ships to the pool children as a pickle.
-            shardable = self._verdict(self._shard_verdicts, backend)
-            if shardable is None:
-                shardable = process_shardable(
-                    backend, capabilities=capabilities
-                )
-                self._remember(self._shard_verdicts, backend, shardable)
-            if not shardable:
-                return "thread"
-        return kind
+        if self.executor == "auto" and not capabilities.real_execution:
+            return "serial"
+        shardable = self._verdict(self._shard_verdicts, backend)
+        if shardable is None:
+            shardable = process_shardable(backend, capabilities=capabilities)
+            self._remember(self._shard_verdicts, backend, shardable)
+        return "process" if shardable else "serial"
 
     def _verdict(self, verdicts: dict, backend: ExecutionBackend):
         """*backend*'s memoized entry in *verdicts*, or ``None``."""
@@ -775,21 +616,6 @@ class ProbeEngine:
             # The strong backend reference keeps the id stable for the
             # verdict's lifetime (cleared on reset).
             verdicts[id(backend)] = (backend, verdict)
-
-    def _settle_auto(
-        self, backend: ExecutionBackend, timer: _RunTimer
-    ) -> None:
-        """Record ``auto``'s choice for *backend* from *timer*'s runs
-        (no executed run, e.g. all cache hits: still undecided)."""
-        if not timer.off_cpu_s:
-            return
-        off_cpu = min(timer.off_cpu_s)
-        # A run that never left the CPU beats no handoff, so pure
-        # computation settles on serial without measuring one.
-        overlaps = off_cpu > 0 and off_cpu > _thread_handoff_s()
-        self._remember(
-            self._auto_verdicts, backend, "thread" if overlaps else "serial"
-        )
 
     # -- accounting --------------------------------------------------------
 
@@ -809,11 +635,10 @@ class ProbeEngine:
     def reset(self) -> None:
         """Drop the LRU, zero the statistics, forget backend verdicts.
 
-        The next scheduling call re-fetches the shared pools at the
-        current ``parallel`` width, so resizing an engine between
-        campaigns takes effect here (a wider width grows the shared
-        pool; narrower engines simply use fewer of its slots). The
-        persistent store — whose entire purpose is surviving campaign
+        The next scheduling call re-fetches the shared pool at the
+        current ``parallel`` width, so widening an engine between
+        campaigns takes effect here (the shared pool grows and never
+        shrinks). The persistent store — whose entire purpose is surviving campaign
         boundaries — is deliberately left alone.
         """
         self.close()
@@ -821,7 +646,6 @@ class ProbeEngine:
             self._cache.clear()
             self._capability_cache.clear()
             self._shard_verdicts.clear()
-            self._auto_verdicts.clear()
             self._requested = 0
             self._executed = 0
             self._hits = 0
@@ -971,11 +795,9 @@ class ProbeEngine:
         workload: Workload,
         policy: InterpositionPolicy,
         replica: int,
-        timer: "_RunTimer | None" = None,
     ) -> "RunResult | ProbeFault":
         """Lookup-or-execute without touching ``runs_requested`` (the
         scheduling entry points account for requests up front).
-        Executed runs go through *timer* when ``auto`` is measuring.
 
         Returns the quarantine record instead of a result when the run
         exhausted its fault budget under ``on_fault="degrade"`` (the
@@ -988,13 +810,12 @@ class ProbeEngine:
             hit = self._lookup(key)
             if hit is not None:
                 return hit
-        runner = backend if timer is None else timer
         fault_policy = self.fault_policy
         if fault_policy is None or not fault_policy.active:
-            result = runner.run(workload, policy, replica=replica)
+            result = backend.run(workload, policy, replica=replica)
             self._record(key, result, policy)
             return result
-        outcome = guarded_run(runner, workload, policy, replica, fault_policy)
+        outcome = guarded_run(backend, workload, policy, replica, fault_policy)
         self._notify_retries(
             workload, policy, replica, outcome.failures,
             recovered=outcome.result is not None,
@@ -1055,20 +876,15 @@ class ProbeEngine:
             raise ValueError("need at least one replica")
         if not policies:
             return []
-        mode = self._mode(backend)
-        if mode in ("serial", "measure"):
-            timer = _RunTimer(backend) if mode == "measure" else None
-            outcomes = [
+        if self.mode_for(backend) == "serial":
+            return [
                 self._serial_probe(
-                    backend, workload, policy, replicas, early_exit, timer
+                    backend, workload, policy, replicas, early_exit
                 )
                 for policy in policies
             ]
-            if timer is not None:
-                self._settle_auto(backend, timer)
-            return outcomes
         return self._pooled_batch(
-            mode, backend, workload, policies, replicas, early_exit
+            backend, workload, policies, replicas, early_exit
         )
 
     # -- execution strategies ----------------------------------------------
@@ -1080,14 +896,13 @@ class ProbeEngine:
         policy: InterpositionPolicy,
         replicas: int,
         early_exit: bool,
-        timer: "_RunTimer | None" = None,
     ) -> ProbeOutcome:
         with self._lock:
             self._requested += replicas
         results: list[RunResult] = []
         faults: list[ProbeFault] = []
         for index in range(replicas):
-            out = self._one(backend, workload, policy, index, timer)
+            out = self._one(backend, workload, policy, index)
             if isinstance(out, ProbeFault):
                 # A fault is not a decision — later replicas still run
                 # (one of them may observe a genuine failure, which
@@ -1103,7 +918,6 @@ class ProbeEngine:
 
     def _pooled_batch(
         self,
-        mode: str,
         backend: ExecutionBackend,
         workload: Workload,
         policies: Sequence[InterpositionPolicy],
@@ -1132,12 +946,7 @@ class ProbeEngine:
                             failed[probe_index] = True
                         continue
                 tasks.append((probe_index, replica, policy, key))
-        if mode == "thread":
-            self._dispatch_threads(
-                backend, workload, tasks, collected, faulted, failed,
-                early_exit,
-            )
-        elif tasks:
+        if tasks:
             transport = _ProcessTransport(self.parallel)
             try:
                 self._dispatch_chunks(
@@ -1149,13 +958,11 @@ class ProbeEngine:
                 # cannot leak into the next batch.
                 transport.close()
                 raise
-        # Whatever was asked for but never ran — cancelled in time,
-        # skipped by a worker after an in-chunk failure, or never
-        # submitted after a cached failure — was skipped. Runs that won
-        # the cancellation race were collected above, and quarantined
-        # runs are accounted as faults, so the ``requested == executed
-        # + hits + skipped + faulted`` invariant holds regardless of
-        # how the race resolved.
+        # Whatever was asked for but never ran — skipped by a worker
+        # after an in-chunk failure, or never submitted after a cached
+        # failure — was skipped. Quarantined runs are accounted as
+        # faults, so the ``requested == executed + hits + skipped +
+        # faulted`` invariant holds.
         obtained = sum(len(by_replica) for by_replica in collected)
         obtained += sum(len(by_replica) for by_replica in faulted)
         missing = len(policies) * replicas - obtained
@@ -1171,112 +978,6 @@ class ProbeEngine:
             )
             for by_replica, by_fault in zip(collected, faulted)
         ]
-
-    def _dispatch_threads(
-        self,
-        backend: ExecutionBackend,
-        workload: Workload,
-        tasks: Sequence[tuple[int, int, InterpositionPolicy, "CacheKey | None"]],
-        collected: list[dict[int, RunResult]],
-        faulted: list[dict[int, ProbeFault]],
-        failed: list[bool],
-        early_exit: bool,
-    ) -> None:
-        """Thread sharding with bounded, lazy submission.
-
-        The thread pool is process-wide and may be wider than this
-        engine's ``parallel`` (grown by a wider engine, never shrunk).
-        Submitting lazily — at most ``parallel`` runs in flight, the
-        next entering as one completes — keeps ``parallel`` a true
-        per-engine bound on backend concurrency regardless of the
-        shared width, and sharpens early exit: a failed probe's
-        not-yet-submitted siblings are simply never submitted (the
-        eager version could only race to cancel them), while
-        already-running siblings are still cancelled best-effort.
-
-        With an active fault policy each run goes through
-        :func:`guarded_run` on its worker thread (timeout + retries);
-        exhausted runs are quarantined (degrade) or abort the batch
-        (fail). Faults never trigger early exit — only a decided
-        failure cancels a probe's siblings.
-        """
-        fault_policy = self.fault_policy
-        if fault_policy is not None and not fault_policy.active:
-            fault_policy = None
-        pool = self._pool("thread")
-        position = 0
-        active: "dict[concurrent.futures.Future, tuple[int, int, InterpositionPolicy, CacheKey | None]]" = {}
-
-        def start(policy: InterpositionPolicy, replica: int):
-            if fault_policy is not None:
-                return pool.submit(
-                    guarded_run, backend, workload, policy, replica,
-                    fault_policy,
-                )
-            return pool.submit(backend.run, workload, policy, replica=replica)
-
-        def submit_ready() -> None:
-            nonlocal position, pool
-            while position < len(tasks) and len(active) < self.parallel:
-                task = tasks[position]
-                probe_index, replica, policy, _key = task
-                position += 1
-                if early_exit and failed[probe_index]:
-                    continue  # a sibling already failed: never submit
-                try:
-                    future = start(policy, replica)
-                except RuntimeError:
-                    # The shared pool was shut down under us
-                    # (shutdown_worker_pools from another thread).
-                    # Its in-flight runs completed — shutdown waits —
-                    # so transparently re-fetch the replacement pool
-                    # and resubmit; a second failure is a real
-                    # interpreter-shutdown and propagates.
-                    pool = self._pool("thread")
-                    future = start(policy, replica)
-                active[future] = task
-
-        submit_ready()
-        try:
-            while active:
-                done, _ = concurrent.futures.wait(
-                    active, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-                for future in done:
-                    probe_index, replica, policy, key = active.pop(future)
-                    try:
-                        result = future.result()
-                    except concurrent.futures.CancelledError:
-                        continue
-                    if fault_policy is not None:
-                        outcome = result
-                        self._notify_retries(
-                            workload, policy, replica, outcome.failures,
-                            recovered=outcome.result is not None,
-                        )
-                        if outcome.faulted:
-                            fault = outcome.fault(workload, policy, replica)
-                            self._account_fault(fault)
-                            if not fault_policy.degrade:
-                                raise ProbeFaultError(fault)
-                            faulted[probe_index][replica] = fault
-                            continue
-                        result = outcome.result
-                    self._record(key, result, policy)
-                    collected[probe_index][replica] = result
-                    if early_exit and not result.success \
-                            and not failed[probe_index]:
-                        failed[probe_index] = True
-                        for other, (other_probe, *_) in active.items():
-                            if other_probe == probe_index:
-                                other.cancel()
-                submit_ready()
-        except BaseException:
-            # Mirror the serial path: a backend error ends the batch;
-            # don't let queued runs keep executing on discarded.
-            for other in active:
-                other.cancel()
-            raise
 
     def _dispatch_chunks(
         self,

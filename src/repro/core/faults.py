@@ -21,9 +21,9 @@ turns those mishaps into data points instead of campaign aborts:
 
 Determinism is the load-bearing design rule: every chaos decision is a
 pure function of ``(seed, workload, policy fingerprint, replica)`` —
-never of call order, thread identity, or wall-clock — so serial,
-thread and process executors observe the *same* injected faults and
-produce byte-identical reports under ``--on-fault=degrade``.
+never of call order, thread identity, or wall-clock — so the serial
+and process executors observe the *same* injected faults and produce
+byte-identical reports under ``--on-fault=degrade``.
 """
 
 from __future__ import annotations
@@ -463,7 +463,7 @@ class ChaosBackend:
     Every injection decision is a pure function of the chaos seed and
     the probe key — the executor choice, scheduling order, and retry
     count never change *which* probes fault, which is what lets
-    degraded campaigns stay byte-identical across serial/thread/
+    degraded campaigns stay byte-identical across the serial and
     process executors. Picklable whenever the inner backend is, so
     chaos reaches process-pool workers too.
     """
@@ -511,8 +511,8 @@ class ChaosBackend:
     def _maybe_crash(self) -> None:
         """Kill this process — but only if it is a pool worker.
 
-        The scheduling process is never killed (serial and thread
-        executors run chaos inline), and a ``crash_marker`` file makes
+        The scheduling process is never killed (the serial executor
+        runs chaos inline), and a ``crash_marker`` file makes
         the crash once-only across the whole campaign so recovery can
         re-execute the lost chunk successfully.
         """

@@ -268,7 +268,7 @@ def process_shardable(
     it to a ``ProcessPoolExecutor``). A declared-but-unpicklable
     backend — say, one wrapping a lambda or an open socket — quietly
     fails the check instead of blowing up inside the pool, so
-    schedulers can fall back to thread sharding. Callers that already
+    schedulers can fall back to serial runs. Callers that already
     resolved the descriptor pass it as *capabilities* to skip the
     re-resolution.
     """

@@ -75,6 +75,7 @@ from pathlib import Path
 from repro.api.events import SCHEMA_VERSION
 from repro.api.session import AnalysisRequest
 from repro.core.analyzer import AnalyzerConfig
+from repro.core.cachestore import CacheStoreError, check_store
 from repro.errors import LoupeError
 
 #: Job lifecycle states.
@@ -219,6 +220,13 @@ class JobSpec:
             self.analyzer_config()
         except (ValueError, TypeError) as error:
             raise JobSpecError(f"invalid campaign spec: {error}")
+        if self.run_cache:
+            try:
+                check_store(
+                    self.run_cache, max_entries=self.run_cache_max_entries
+                )
+            except CacheStoreError as error:
+                raise JobSpecError(f"invalid campaign spec: {error}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

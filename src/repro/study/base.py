@@ -69,7 +69,7 @@ def analyze_apps(
     ``jobs`` schedules whole applications concurrently (they share
     nothing but the session's lock-guarded database); ``parallel`` and
     ``executor`` are handed to each per-app probe engine (``"process"``
-    shards the CPU-bound simulated runs past the GIL). Results come
+    shards the simulated runs over worker processes). Results come
     back in corpus order regardless of completion order.
     """
     config = AnalyzerConfig(

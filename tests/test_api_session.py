@@ -462,43 +462,6 @@ class TestMultiTargetFanOut:
         assert len(session.database) == 2
 
 
-class TestSharedProbePool:
-    """Satellite: app-level jobs and probe-level parallelism compose
-    over one process-wide probe pool instead of multiplying."""
-
-    def test_analyze_many_shares_one_probe_pool(self, monkeypatch):
-        from repro.core import engine as engine_module
-
-        engine_module.shutdown_worker_pools()
-        created = []
-        real = engine_module._new_thread_pool
-
-        def counting(width):
-            pool = real(width)
-            created.append(pool)
-            return pool
-
-        monkeypatch.setattr(engine_module, "_new_thread_pool", counting)
-        try:
-            session = LoupeSession()
-            session.analyze_many(
-                [
-                    AnalysisRequest(app=name, workload="health")
-                    for name in ("weborf", "iperf3", "memcached")
-                ],
-                jobs=3,
-                config=AnalyzerConfig(parallel=2, executor="thread"),
-            )
-            # Three concurrent analyzers, one pool identity: every
-            # engine fetched the same shared pool instead of sizing
-            # its own (jobs x parallel threads).
-            assert len(created) == 1
-            assert created[0] is engine_module._THREAD_POOL
-            assert created[0]._max_workers == 2
-        finally:
-            engine_module.shutdown_worker_pools()
-
-
 class TestEventsAndProgress:
     def test_session_progress_renders_legacy_strings(self):
         lines, events = [], []

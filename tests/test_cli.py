@@ -88,6 +88,7 @@ class TestAnalyze:
     def test_removed_scale_out_surface_is_a_usage_error(self, capsys):
         for argv in (
             ["analyze", "--app", "weborf", "--executor", "remote"],
+            ["analyze", "--app", "weborf", "--executor", "thread"],
             ["analyze", "--app", "weborf", "--workers", "h:1"],
             ["worker", "--port", "0"],
         ):

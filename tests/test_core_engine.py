@@ -73,6 +73,32 @@ class _CountingBackend:
         )
 
 
+class _ShardableBackend(_CountingBackend):
+    """A counting backend the process executor can ship to its workers.
+
+    ``calls`` then counts only the runs this process executed; the
+    process-sharded tests read the engine's stats instead.
+    """
+
+    process_safe = True
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["lock"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.lock = threading.Lock()
+
+
+class _ExplodingBackend(_ShardableBackend):
+    def run(self, workload, policy, *, replica=0):
+        if replica == 0:
+            raise RuntimeError("backend blew up")
+        return super().run(workload, policy, replica=replica)
+
+
 class TestFingerprint:
     def test_construction_order_irrelevant(self):
         one = combined(stubs=["close", "uname"], fakes=["prctl"])
@@ -234,36 +260,32 @@ class TestEarlyExit:
         assert engine.stats.replicas_skipped == 0
 
     def test_parallel_backend_error_propagates(self):
-        """A backend exception ends the probe on both execution paths."""
-
-        class _ExplodingBackend(_CountingBackend):
-            def run(self, workload, policy, *, replica=0):
-                if replica == 0:
-                    raise RuntimeError("backend blew up")
-                return super().run(workload, policy, replica=replica)
-
+        """A backend exception ends the probe on both execution paths
+        (from a worker process it arrives carrying the probe key)."""
         backend = _ExplodingBackend()
-        with ProbeEngine(parallel=3, cache=False, executor="thread") \
+        with ProbeEngine(parallel=3, cache=False, executor="process") \
                 as engine:
-            with pytest.raises(RuntimeError, match="blew up"):
+            assert engine.mode_for(backend) == "process"
+            with pytest.raises(ProbeRunError, match="blew up"):
                 engine.run_replicas(
                     backend, benchmark("b", "m"), stubbing("close"), 3
                 )
             # The engine stays usable for the next probe.
             outcome = engine.run_replicas(
-                _CountingBackend(), benchmark("b", "m"), stubbing("close"), 3
+                _ShardableBackend(), benchmark("b", "m"), stubbing("close"),
+                3,
             )
             assert outcome.all_succeeded
 
     def test_parallel_failure_still_conservative(self):
-        backend = _CountingBackend(failing_features={"close"})
-        with ProbeEngine(parallel=3, cache=False, executor="thread") \
+        backend = _ShardableBackend(failing_features={"close"})
+        with ProbeEngine(parallel=3, cache=False, executor="process") \
                 as engine:
             outcome = engine.run_replicas(
                 backend, benchmark("b", "m"), stubbing("close"), 3
             )
         assert not outcome.all_succeeded
-        assert backend.calls <= 3
+        assert engine.stats.runs_executed <= 3
 
     def test_unsafe_backend_forced_serial(self):
         """Backends not declaring parallel_safe never overlap replicas.
@@ -358,9 +380,9 @@ class TestAnalyzerIntegration:
         for knobs in (
             dict(parallel=1, cache=True, early_exit=True),
             dict(parallel=4, cache=True, early_exit=True,
-                 executor="thread"),
+                 executor="process"),
             dict(parallel=4, cache=False, early_exit=False,
-                 executor="thread"),
+                 executor="process"),
         ):
             variant, _ = self._analyze(_mixed_program(), workload, **knobs)
             assert _result_json(variant) == _result_json(serial), knobs
@@ -372,7 +394,7 @@ class TestAnalyzerIntegration:
         )
         parallel, _ = self._analyze(
             _conflicting_program(), health_check("health"),
-            parallel=4, cache=True, executor="thread",
+            parallel=4, cache=True, executor="process",
         )
         assert _result_json(parallel) == _result_json(serial)
         assert parallel.conflicts
@@ -458,9 +480,9 @@ class TestStatsInvariant:
     no matter how the cancellation race resolves.
     """
 
-    class _SlowFailingBackend(_CountingBackend):
-        """Replica 0 fails fast; siblings linger so some are mid-flight
-        (past cancellation) when the failure is observed."""
+    class _SlowFailingBackend(_ShardableBackend):
+        """Replica 0 fails fast; siblings linger, in other chunks,
+        while the failure is observed."""
 
         deterministic = False
 
@@ -478,9 +500,9 @@ class TestStatsInvariant:
             return result
 
     def test_parallel_early_exit_race(self):
-        for _ in range(10):
+        for _ in range(3):
             backend = self._SlowFailingBackend()
-            with ProbeEngine(parallel=4, cache=False, executor="thread") \
+            with ProbeEngine(parallel=4, cache=False, executor="process") \
                     as engine:
                 outcome = engine.run_replicas(
                     backend, benchmark("b", "m"), stubbing("close"), 6
@@ -489,8 +511,8 @@ class TestStatsInvariant:
             assert not outcome.all_succeeded
             assert stats.runs_requested == 6
             assert _stats_invariant(stats), stats
-            # Stragglers that won the race are executed, not skipped.
-            assert stats.runs_executed == backend.calls
+            # Siblings in other chunks already ran: executed, not skipped.
+            assert stats.runs_executed == outcome.replica_count
 
     def test_invariant_across_scenarios(self):
         scenarios = [
@@ -502,10 +524,10 @@ class TestStatsInvariant:
         for knobs in scenarios:
             engine = ProbeEngine(
                 parallel=knobs["parallel"], cache=knobs["cache"],
-                executor="thread",
+                executor="process",
             )
             with engine:
-                backend = _CountingBackend(failing_features={"close"})
+                backend = _ShardableBackend(failing_features={"close"})
                 for policy in (stubbing("close"), stubbing("uname"),
                                stubbing("close")):
                     engine.run_replicas(
@@ -515,8 +537,8 @@ class TestStatsInvariant:
             assert _stats_invariant(engine.stats), (knobs, engine.stats)
 
     def test_batch_invariant_with_cached_failures(self):
-        backend = _CountingBackend(failing_features={"close"})
-        with ProbeEngine(parallel=4, cache=True, executor="thread") \
+        backend = _ShardableBackend(failing_features={"close"})
+        with ProbeEngine(parallel=4, cache=True, executor="process") \
                 as engine:
             policies = [stubbing("close"), stubbing("uname"),
                         stubbing("prctl")]
@@ -557,8 +579,8 @@ class TestProbeBatch:
 
     def test_parallel_batch_outcomes_in_policy_order(self):
         policies = [stubbing("uname"), stubbing("close"), stubbing("prctl")]
-        backend = _CountingBackend(failing_features={"close"})
-        with ProbeEngine(parallel=4, cache=False, executor="thread") \
+        backend = _ShardableBackend(failing_features={"close"})
+        with ProbeEngine(parallel=4, cache=False, executor="process") \
                 as engine:
             outcomes = engine.run_probe_batch(
                 backend, benchmark("b", "m"), policies, 2
@@ -568,8 +590,8 @@ class TestProbeBatch:
     def test_batch_early_exit_is_per_probe(self):
         """One probe's failure must not skip another probe's replicas."""
         policies = [stubbing("close"), stubbing("uname")]
-        backend = _CountingBackend(failing_features={"close"})
-        with ProbeEngine(parallel=2, cache=False, executor="thread") \
+        backend = _ShardableBackend(failing_features={"close"})
+        with ProbeEngine(parallel=2, cache=False, executor="process") \
                 as engine:
             outcomes = engine.run_probe_batch(
                 backend, benchmark("b", "m"), policies, 3
@@ -713,134 +735,22 @@ class TestEngineLifecycle:
 
         engine_module.shutdown_worker_pools()
         try:
-            engine = ProbeEngine(parallel=2, cache=False, executor="thread")
+            engine = ProbeEngine(parallel=2, cache=False, executor="process")
             engine.run_replicas(
-                _CountingBackend(), benchmark("b", "m"), stubbing("close"), 2
+                _ShardableBackend(), benchmark("b", "m"), stubbing("close"), 2
             )
-            assert engine_module._THREAD_POOL is not None
-            assert engine_module._THREAD_POOL_WIDTH == 2
+            assert engine_module._PROCESS_POOL is not None
+            assert engine_module._PROCESS_POOL_WIDTH == 2
             engine.parallel = 4
             engine.reset()
             engine.run_replicas(
-                _CountingBackend(), benchmark("b", "m"), stubbing("close"), 2
+                _ShardableBackend(), benchmark("b", "m"), stubbing("close"), 2
             )
             # The widened engine grew the shared pool on re-fetch.
-            assert engine_module._THREAD_POOL_WIDTH == 4
+            assert engine_module._PROCESS_POOL_WIDTH == 4
             engine.close()
         finally:
             engine_module.shutdown_worker_pools()
-
-    def test_parallel_is_a_per_engine_bound_despite_wider_shared_pool(self):
-        """The shared pool only grows; a narrower engine must still
-        never run more than its own `parallel` backend runs at once
-        (bounded lazy submission)."""
-        import time as time_module
-
-        from repro.core import engine as engine_module
-
-        engine_module.shutdown_worker_pools()
-        try:
-            wide = ProbeEngine(parallel=8, cache=False, executor="thread")
-            wide.run_replicas(
-                _CountingBackend(), benchmark("b", "m"), stubbing("close"), 8
-            )
-            assert engine_module._THREAD_POOL_WIDTH == 8
-
-            class _ConcurrencyProbe(_CountingBackend):
-                def __init__(self):
-                    super().__init__()
-                    self.in_flight = 0
-                    self.peak = 0
-
-                def run(self, workload, policy, *, replica=0):
-                    with self.lock:
-                        self.in_flight += 1
-                        self.peak = max(self.peak, self.in_flight)
-                    time_module.sleep(0.005)
-                    try:
-                        return super().run(workload, policy, replica=replica)
-                    finally:
-                        with self.lock:
-                            self.in_flight -= 1
-
-            backend = _ConcurrencyProbe()
-            narrow = ProbeEngine(parallel=2, cache=False, executor="thread")
-            narrow.run_probe_batch(
-                backend, benchmark("b", "m"),
-                [stubbing("close"), stubbing("uname"), stubbing("prctl")],
-                2,
-            )
-            assert backend.calls == 6
-            assert backend.peak <= 2, backend.peak
-        finally:
-            engine_module.shutdown_worker_pools()
-
-    def test_thread_submission_recovers_from_concurrent_pool_shutdown(
-        self, monkeypatch
-    ):
-        """shutdown_worker_pools() may run while another thread is
-        mid-batch; the submit loop must re-fetch the replacement pool
-        instead of aborting the analysis on the shut one."""
-        from repro.core import engine as engine_module
-
-        engine_module.shutdown_worker_pools()
-        real = engine_module._shared_thread_pool
-        dead = engine_module._new_thread_pool(2)
-        dead.shutdown()
-        fetches = []
-
-        def flaky(width):
-            fetches.append(width)
-            if len(fetches) == 1:
-                return dead  # simulate a pool shut down mid-batch
-            return real(width)
-
-        monkeypatch.setattr(engine_module, "_shared_thread_pool", flaky)
-        try:
-            backend = _CountingBackend()
-            engine = ProbeEngine(parallel=2, cache=False, executor="thread")
-            outcomes = engine.run_probe_batch(
-                backend, benchmark("b", "m"),
-                [stubbing("close"), stubbing("uname")], 2,
-            )
-            assert all(o.all_succeeded for o in outcomes)
-            assert backend.calls == 4
-            assert len(fetches) == 2  # one stale fetch, one recovery
-            assert _stats_invariant(engine.stats), engine.stats
-        finally:
-            engine_module.shutdown_worker_pools()
-
-    def test_thread_pool_shared_across_engines(self):
-        """Probe threads are a process-wide budget: every engine uses
-        one shared pool (so analyze_many's app-level jobs and
-        probe-level parallelism compose instead of multiplying),
-        engine.close() leaves it running, and a wider engine grows it
-        instead of stacking a second pool."""
-        from repro.core import engine as engine_module
-
-        engine_module.shutdown_worker_pools()
-        try:
-            backend = SimBackend(_mixed_program())
-            workload = benchmark("b", "m")
-            with ProbeEngine(parallel=2, cache=False, executor="thread") \
-                    as one:
-                one.run_replicas(backend, workload, stubbing("close"), 2)
-                first = engine_module._THREAD_POOL
-            assert first is not None  # close() left the shared pool alone
-            with ProbeEngine(parallel=2, cache=False, executor="thread") \
-                    as two:
-                two.run_replicas(backend, workload, stubbing("close"), 2)
-                assert engine_module._THREAD_POOL is first
-                assert two._pool("thread") is one._pool("thread")
-            with ProbeEngine(parallel=4, cache=False, executor="thread") \
-                    as wide:
-                wide.run_replicas(backend, workload, stubbing("close"), 4)
-                grown = engine_module._THREAD_POOL
-                assert grown is not first
-                assert grown._max_workers == 4
-        finally:
-            engine_module.shutdown_worker_pools()
-            assert engine_module._THREAD_POOL is None
 
     def test_close_idempotent_and_reusable(self):
         engine = ProbeEngine(parallel=2, cache=False)
@@ -855,14 +765,14 @@ class TestEngineLifecycle:
     def test_analyzer_context_manager_closes_engine(self):
         from repro.core import engine as engine_module
 
-        with Analyzer(AnalyzerConfig(parallel=2, executor="thread")) \
+        with Analyzer(AnalyzerConfig(parallel=2, executor="process")) \
                 as analyzer:
             analyzer.analyze(
                 SimBackend(_mixed_program()), health_check("health")
             )
         # close() released the engine without tearing down the shared
-        # probe pool — it keeps serving the process's other engines.
-        assert engine_module._THREAD_POOL is not None
+        # worker pool — it keeps serving the process's other engines.
+        assert engine_module._PROCESS_POOL is not None
 
     def test_bad_executor_rejected(self):
         with pytest.raises(ValueError):
@@ -872,8 +782,7 @@ class TestEngineLifecycle:
 
     def test_executor_name_resolution(self):
         assert ProbeEngine().executor_name == "serial"
-        assert ProbeEngine(parallel=4, executor="thread").executor_name \
-            == "thread"
+        assert ProbeEngine(parallel=4).executor_name == "process"
         assert ProbeEngine(parallel=4, executor="serial").executor_name \
             == "serial"
         assert ProbeEngine(parallel=4, executor="process").executor_name \
@@ -885,7 +794,7 @@ class TestEngineLifecycle:
         grows it instead of stacking a second pool."""
         from repro.core import engine as engine_module
 
-        engine_module.shutdown_process_pool()
+        engine_module.shutdown_worker_pools()
         backend = SimBackend(_mixed_program())
         workload = benchmark("b", "m")
         with ProbeEngine(parallel=2, executor="process", cache=False) as one:
@@ -900,7 +809,7 @@ class TestEngineLifecycle:
             grown = engine_module._PROCESS_POOL
             assert grown is not first
             assert grown._max_workers == 4
-        engine_module.shutdown_process_pool()
+        engine_module.shutdown_worker_pools()
         assert engine_module._PROCESS_POOL is None
 
     def test_shardability_checked_once_per_backend(self, monkeypatch):

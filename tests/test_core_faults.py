@@ -11,7 +11,7 @@ Covers the robustness layer end to end:
 * the engine accounting invariant ``requested == executed +
   cache_hits + skipped + faulted`` under chaos, on every executor
   (hypothesis-driven);
-* byte-identical degraded campaigns across serial/thread/process,
+* byte-identical degraded campaigns across serial and process,
   including a real worker crash recovered mid-batch;
 * the ``undecided`` verdict flow, its serialization, and the
   ``undecided-in-target`` cross-validation divergence;
@@ -306,7 +306,7 @@ class TestChaosBackend:
     def test_crash_guard_never_kills_the_scheduling_process(self):
         spec = ChaosSpec(seed=1, crash_features=frozenset({"close"}))
         chaos = ChaosBackend(SimBackend(_PROGRAM), spec)
-        # Inline execution (serial/thread executors) hits the pid
+        # Inline execution (the serial executor) hits the pid
         # guard: the run proceeds normally instead of os._exit()ing.
         assert chaos.run(_WORKLOAD, stubbing("close")).success
 
@@ -378,7 +378,7 @@ class TestAccountingInvariantProperty:
     @given(
         error_features=st.sets(st.sampled_from(_SYSCALLS), max_size=2),
         error_rate=st.sampled_from((0.0, 0.3)),
-        executor=st.sampled_from(("serial", "thread", "process")),
+        executor=st.sampled_from(("serial", "process")),
         replicas=st.integers(1, 3),
         retries=st.integers(0, 1),
         seed=st.integers(0, 5),
@@ -418,12 +418,12 @@ class TestAccountingInvariantProperty:
         ),
         seed=st.integers(0, 3),
     )
-    def test_degraded_reports_identical_serial_vs_thread(
+    def test_degraded_reports_serial_vs_process(
         self, error_features, seed
     ):
         spec = ChaosSpec(seed=seed, error_features=frozenset(error_features))
         documents = {}
-        for executor in ("serial", "thread"):
+        for executor in ("serial", "process"):
             with Analyzer(AnalyzerConfig(
                 replicas=2,
                 parallel=1 if executor == "serial" else 3,
@@ -438,7 +438,7 @@ class TestAccountingInvariantProperty:
             for feature in error_features:
                 assert result.features[feature].verdict is Verdict.UNDECIDED
             documents[executor] = _strip_fault_durations(result.to_dict())
-        assert documents["serial"] == documents["thread"]
+        assert documents["serial"] == documents["process"]
 
 
 def _strip_fault_durations(document):
@@ -452,7 +452,7 @@ def _strip_fault_durations(document):
 
 class TestChaosCampaignAcrossExecutors:
     """The acceptance campaign: hangs + errors + a real worker crash,
-    under degrade, byte-identical on serial, thread, and process."""
+    under degrade, byte-identical on serial and process."""
 
     def test_campaign_byte_identical_and_fully_accounted(self, tmp_path):
         app = build("redis")
@@ -499,12 +499,9 @@ class TestChaosCampaignAcrossExecutors:
             if report.verdict is Verdict.UNDECIDED
         }
         assert {"futex", "getpid"} <= undecided
-        reference_doc = _strip_fault_durations(reference.to_dict())
-        for executor in ("thread", "process"):
-            variant = run(executor)
-            assert _strip_fault_durations(variant.to_dict()) == reference_doc, (
-                executor
-            )
+        variant = run("process")
+        assert _strip_fault_durations(variant.to_dict()) \
+            == _strip_fault_durations(reference.to_dict())
         # The crash injection really fired in a worker process — and
         # was recovered without changing the report.
         assert (tmp_path / "crash-process").exists()

@@ -1,7 +1,7 @@
 """Executor-equivalence tests: sharding never changes conclusions.
 
-The engine's contract is that ``executor="serial"``, ``"thread"``
-and ``"process"`` are pure scheduling choices — every one of them must
+The engine's contract is that ``executor="serial"``, ``"process"``
+and ``"auto"`` are pure scheduling choices — every one of them must
 produce byte-identical :class:`FeatureReport`s (and therefore
 identical :class:`Database` payloads) for the same analysis. This
 module pins that contract two ways:
@@ -12,12 +12,12 @@ module pins that contract two ways:
 
 It also covers the capability-fallback ladder: non-parallel-safe
 backends serialize, declared-but-unpicklable backends degrade from
-processes to threads — and ``"auto"``, which measures a backend's
-first runs and picks threads only for runs that wait off the CPU.
+processes to serial — and ``"auto"``, which picks processes from the
+capability contract alone, before any run, and only for
+real-execution backends.
 """
 
 import json
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -37,19 +37,12 @@ from repro.appsim.behavior import (
 )
 from repro.appsim.corpus import build, seven_apps
 from repro.appsim.program import SimProgram, SyscallOp, WorkloadProfile
-from repro.core import engine as engine_module
 from repro.core.analyzer import Analyzer, AnalyzerConfig
 from repro.core.engine import ProbeEngine
 from repro.core.policy import stubbing
-from repro.core.runner import (
-    BackendCapabilities,
-    capabilities_of,
-    process_shardable,
-)
+from repro.core.runner import BackendCapabilities, process_shardable
 from repro.core.workload import benchmark, health_check
 from repro.db import Database
-
-EXECUTORS = ("serial", "thread", "process")
 
 #: Syscalls the generated programs draw ops from.
 _SYSCALLS = ("read", "close", "uname", "prctl", "mmap", "brk", "fcntl")
@@ -109,7 +102,7 @@ class TestExecutorEquivalenceProperty:
             if measured else health_check("health")
         )
         reference = _analyze(program, workload, "serial", replicas)
-        for executor in ("thread", "process"):
+        for executor in ("process", "auto"):
             variant = _analyze(program, workload, executor, replicas)
             assert _digest(variant) == _digest(reference), executor
             for feature, report in reference.features.items():
@@ -125,10 +118,10 @@ class TestExecutorEquivalenceCorpus:
         ]
         return apps, results
 
-    def test_thread_and_process_match_serial(self, corpus_reference):
+    def test_process_and_auto_match_serial(self, corpus_reference):
         apps, reference = corpus_reference
         reference_payload = _database_payload(reference)
-        for executor in ("thread", "process", "auto"):
+        for executor in ("process", "auto"):
             results = [_analyze_app(app, executor) for app in apps]
             for left, right in zip(reference, results):
                 assert _digest(left) == _digest(right), (left.app, executor)
@@ -177,9 +170,9 @@ class TestCapabilityFallback:
         assert engine.stats.replicas_skipped == 2
         assert not outcome.all_succeeded
 
-    def test_unpicklable_backend_degrades_to_threads(self):
+    def test_unpicklable_backend_degrades_to_serial(self):
         """process_safe declared but the object cannot cross a process
-        boundary -> thread sharding, not a pool crash."""
+        boundary -> serial runs, not a pool crash."""
         program = SimProgram(
             name="local", version="1",
             ops=(SyscallOp(syscall="read", on_stub=ignore(),
@@ -206,6 +199,7 @@ class TestCapabilityFallback:
         assert not process_shardable(backend)
         with Analyzer(AnalyzerConfig(parallel=3, executor="process")) \
                 as analyzer:
+            assert analyzer.engine.mode_for(backend) == "serial"
             result = analyzer.analyze(backend, health_check("health"))
         reference = _analyze(program, health_check("health"), "serial", 3)
         assert _digest(result) == _digest(reference)
@@ -221,34 +215,28 @@ class TestCapabilityFallback:
         assert not process_shardable(backend)
 
 
-class _Sleepy:
-    """Wraps a backend so every run also waits 3 ms off the CPU."""
+class _RealExecution:
+    """A picklable stand-in that declares what ``auto`` asks of a
+    backend before it shards: real execution, parallel- and
+    process-safe."""
 
-    def __init__(self, inner):
-        self._inner = inner
-        self.name = inner.name
+    name = "real:double"
 
     def capabilities(self):
-        return capabilities_of(self._inner)
+        return BackendCapabilities(
+            parallel_safe=True, process_safe=True, real_execution=True,
+        )
 
     def run(self, workload, policy, *, replica=0):
-        time.sleep(0.003)
-        return self._inner.run(workload, policy, replica=replica)
+        raise AssertionError("auto decides before any run")
 
 
-class _SleepyUnsafe(_Sleepy):
-    """The same waiting runs, from a backend that is not parallel-safe."""
-
-    def capabilities(self):
-        return BackendCapabilities(deterministic=True)
-
-
-def _observed(app, executor, wrap=None):
+def _observed(app, executor):
     """One analysis of *app*: its report digest, its event stream as
     ``--events jsonl`` lines (the engine_stats event and wall-clock
     durations left out) and its engine_stats event."""
     events = []
-    backend = app.backend() if wrap is None else wrap(app.backend())
+    backend = app.backend()
     with Analyzer(AnalyzerConfig(
         parallel=1 if executor == "serial" else 2, executor=executor,
     )) as analyzer:
@@ -268,37 +256,32 @@ def _observed(app, executor, wrap=None):
 
 
 class TestAutoExecutor:
-    @pytest.mark.parametrize("wrap, expected, timed", [
-        (None, "serial", 1),      # appsim: pure computation
-        (_Sleepy, "thread", 1),   # runs that wait overlap on threads
-        (_SleepyUnsafe, "serial", 0),  # not parallel-safe: never timed
-    ])
-    def test_auto_resolution(self, monkeypatch, wrap, expected, timed):
-        """``auto`` at parallel=2 times the baseline of a parallel-safe
-        backend once, settles on the executor its runs call for, and
-        changes nothing else: the report and the event stream match a
-        serial analysis, and a serial pick executes the serial runs."""
-        timers = []
-        real = engine_module._RunTimer
+    def test_auto_rule_is_known_before_any_run(self):
+        """At parallel=2, ``auto`` reads the verdict off the capability
+        contract: processes for a real-execution backend that can
+        shard, serial for the appsim simulation — no run needed."""
+        engine = ProbeEngine(parallel=2)
+        assert engine.mode_for(_RealExecution()) == "process"
+        assert engine.mode_for(build("sqlite").backend()) == "serial"
+        assert engine.stats.runs_requested == 0
+        assert ProbeEngine(parallel=1).mode_for(_RealExecution()) \
+            == "serial"
 
-        def counting(backend):
-            timers.append(backend)
-            return real(backend)
-
+    def test_auto_on_appsim_matches_serial(self):
+        """``auto`` changes nothing on appsim: the report, the event
+        stream and the run accounting match a serial analysis."""
         app = build("sqlite")
-        digest, lines, stats = _observed(app, "serial", wrap)
-        monkeypatch.setattr(engine_module, "_RunTimer", counting)
-        auto_digest, auto_lines, auto_stats = _observed(app, "auto", wrap)
-        assert auto_stats.executor == expected
-        assert len(timers) == timed
+        digest, lines, stats = _observed(app, "serial")
+        auto_digest, auto_lines, auto_stats = _observed(app, "auto")
+        assert auto_stats.executor == "serial"
         assert auto_digest == digest
         assert auto_lines == lines
-        if expected == "serial":
-            assert auto_stats == stats
+        assert auto_stats == stats
 
     def test_auto_stays_serial_under_app_concurrency(self):
-        """Two analyses sharing the interpreter wait on each other for
-        the GIL; that wait must not read as off-CPU time."""
+        """App-level concurrency (``analyze_many(jobs=2)``) leaves the
+        verdict alone: every appsim analysis stays serial and executes
+        the runs a serial campaign executes."""
 
         def campaign(jobs, config):
             stats = {}

@@ -124,6 +124,8 @@ class TestJobSpec:
     def test_invalid_analyzer_knob_rejected(self):
         with pytest.raises(JobSpecError):
             JobSpec.from_dict({"on_fault": "explode"})
+        with pytest.raises(JobSpecError, match="thread"):
+            JobSpec.from_dict({"executor": "thread"})
 
     def test_maps_to_analyzer_config(self):
         spec = JobSpec.from_dict({
@@ -291,6 +293,22 @@ class TestHTTPSurface:
             client.submit({**QUICK_SPEC, "workers": []})
         assert caught.value.status == 400
         assert "workers" in caught.value.message
+        with pytest.raises(ServiceError) as caught:
+            client.submit({**QUICK_SPEC, "executor": "thread"})
+        assert caught.value.status == 400
+        assert "thread" in caught.value.message
+
+    def test_submit_run_cache_the_store_refuses_is_400(self, client):
+        """A run cache no store can open is refused at submit, not
+        accepted and then failed in the worker."""
+        for spec in (
+            {"run_cache": "http://x"},
+            {"run_cache": "runs.jsonl", "run_cache_max_entries": 5},
+        ):
+            with pytest.raises(ServiceError) as caught:
+                client.submit({**QUICK_SPEC, **spec})
+            assert caught.value.status == 400, spec
+        assert client.jobs() == []
 
     def test_unknown_job_is_404(self, client):
         for call in (
