@@ -161,7 +161,7 @@ class AnalysisRequest:
         deliberately enters the fan-out — deduplicating to one leg and
         yielding a degenerate single-target report with zero
         divergences (register the factory under a second name for a
-        real self-comparison, as the CI compare-smoke job does). A
+        real self-comparison, as ``tests/test_e2e_compare.py`` does). A
         pre-resolved ``target`` always bypasses the registry, and
         therefore the fan-out.
         """
@@ -391,7 +391,6 @@ class LoupeSession:
         progress: "Callable[[str], None] | None" = None,
         use_cache: bool = True,
         cancel_check: "Callable[[], bool] | None" = None,
-        progress_hook: "Callable[[], None] | None" = None,
     ) -> "AnalysisResult | CrossValidationReport":
         """Analyze one request, memoized in the session database.
 
@@ -414,13 +413,6 @@ class LoupeSession:
         (and any other long-lived driver) cancels live analyses
         through exactly this hook.
 
-        *progress_hook* installs a cooperative liveness hook
-        (``AnalyzerConfig.progress_hook``), invoked at the same wave
-        boundaries: the campaign server heartbeats a running job's
-        lease through it, so a worker that stops reaching checkpoints
-        is detectable from outside. Exceptions it raises are swallowed
-        by the analyzer — observation must never change outcomes.
-
         A request addressing several targets (``backends=...`` or a
         comma list in ``backend``) fans the campaign across all of
         them — each target's record lands in the loupedb under its own
@@ -431,13 +423,10 @@ class LoupeSession:
         """
         coerced = self._coerce(request, workload)
         emit = self._emitter(on_event, progress)
-        hooks = {}
         if cancel_check is not None:
-            hooks["cancel_check"] = cancel_check
-        if progress_hook is not None:
-            hooks["progress_hook"] = progress_hook
-        if hooks:
-            config = dataclasses.replace(config or self.config, **hooks)
+            config = dataclasses.replace(
+                config or self.config, cancel_check=cancel_check
+            )
         if coerced.is_multi_target():
             return self._fan_out(
                 coerced, config=config, emit=emit, use_cache=use_cache

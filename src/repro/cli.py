@@ -29,9 +29,11 @@ Subcommands mirror how the paper's tool is used:
   Exit codes gate CI: 1 when any error-severity finding survives
   ``--select``/``--ignore``, 0 otherwise.
 * ``serve``    — run the campaign server (job queue, bounded worker
-  pool, live event streaming over HTTP; ``--max-queue``, ``--lease``
-  and ``--max-attempts`` set the durability posture; ``--run-cache``
-  names a default run cache for jobs whose spec names none).
+  pool, live event streaming over HTTP; ``--max-queue`` bounds the
+  queue, ``--max-attempts`` caps how many server restarts a job may
+  survive before it is quarantined; ``--run-cache`` names a default
+  run cache for jobs whose spec names none. A hung run is bounded by
+  the spec's ``probe_timeout`` or the backend's own timeout).
 * ``submit`` / ``jobs`` / ``tail`` / ``cancel`` / ``drain`` — the
   server's clients: submit a campaign spec, list jobs (``--state``
   filters, e.g. ``--state quarantined`` for triage), stream a job's
@@ -660,7 +662,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             run_cache=args.run_cache,
             max_queue=args.max_queue,
-            lease_s=args.lease,
             max_attempts=args.max_attempts,
             verbose=args.verbose,
         )
@@ -1224,17 +1225,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission control: refuse submissions "
                             "(HTTP 429 + Retry-After) past N jobs "
                             "waiting for a worker (default: unbounded)")
-    serve.add_argument("--lease", type=float, default=30.0,
-                       metavar="SECONDS",
-                       help="running-job lease: a worker that makes no "
-                            "progress for this long is presumed dead "
-                            "and its job reclaimed by the reaper "
-                            "(default 30)")
     serve.add_argument("--max-attempts", type=_positive_int, default=3,
                        metavar="N",
-                       help="attempt budget per job; reclaims and "
-                            "crash-resumes beyond it quarantine the "
-                            "job as poisonous (default 3)")
+                       help="attempt budget per job: every server "
+                            "restart that finds the job running counts "
+                            "one attempt, and a restart past N "
+                            "quarantines it as poisonous (default 3)")
     serve.add_argument("--verbose", action="store_true",
                        help="log each HTTP request to stderr")
     serve.set_defaults(func=_cmd_serve)

@@ -146,7 +146,9 @@ class AnalyzerConfig:
     priors: "object | None" = None
     #: Wall-clock budget for a single probe run attempt; an attempt
     #: exceeding it is abandoned and classified as a ``timeout`` fault.
-    #: ``None`` disables the guard.
+    #: ``None`` disables the guard. This is what bounds a hung run on
+    #: any backend, the campaign server's jobs included (the spec's
+    #: ``probe_timeout``): the server itself never expires a job.
     probe_timeout_s: "float | None" = None
     #: Extra attempts after a faulted run attempt (exponential backoff
     #: between attempts). ``0`` fails/quarantines on the first fault.
@@ -172,18 +174,6 @@ class AnalyzerConfig:
     #: Excluded from config equality — whether a campaign is
     #: cancellable never changes what it concludes.
     cancel_check: "Callable[[], bool] | None" = dataclasses.field(
-        default=None, compare=False
-    )
-    #: Cooperative liveness hook: a zero-argument callable invoked at
-    #: the same wave-boundary checkpoints ``cancel_check`` is polled
-    #: at. Long-lived drivers use it as a heartbeat — the campaign
-    #: server refreshes a running job's lease here, so a hung worker
-    #: (or a stuck backend that never reaches a checkpoint) is
-    #: distinguishable from a healthy long campaign. Exceptions are
-    #: deliberately swallowed: a liveness beacon must never be able to
-    #: kill the campaign it reports on. Excluded from config equality
-    #: like ``cancel_check`` — observation never changes conclusions.
-    progress_hook: "Callable[[], None] | None" = dataclasses.field(
         default=None, compare=False
     )
 
@@ -410,16 +400,8 @@ class Analyzer:
             stream, and the error carries the same stats snapshot. A
             string answer names the reason (``"signal"`` for the
             CLI's SIGINT hook); any other truthy value reads as a
-            plain ``"cancelled"``. The liveness hook beats first, so
-            even a wave that ends in cancellation is recorded as
-            reached.
+            plain ``"cancelled"``.
             """
-            if config.progress_hook is not None:
-                try:
-                    config.progress_hook()
-                except Exception:  # noqa: BLE001 — a heartbeat must
-                    # never kill the campaign whose liveness it reports.
-                    pass
             if config.cancel_check is None:
                 return
             verdict = config.cancel_check()

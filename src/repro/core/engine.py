@@ -86,7 +86,7 @@ import dataclasses
 import itertools
 import multiprocessing
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from collections.abc import Callable, Sequence
 from concurrent.futures.process import BrokenProcessPool
 
@@ -998,14 +998,18 @@ class ProbeEngine:
         Chunking amortizes the per-job transfer cost (the backend
         pickles once per chunk, not once per run) while still cutting
         the batch finely enough — several chunks per worker of the
-        transport's ``width`` — that the workers load-balance. Early exit degrades
-        to chunk granularity: workers skip the later replicas of probes
+        transport's ``width`` — that the workers load-balance. At most
+        ``width`` chunks are in flight at once: the shared pool may be
+        wider than this engine's ``parallel``, and chunks it already
+        holds would run on every worker it has. Early exit degrades to
+        chunk granularity: workers skip the later replicas of probes
         that fail within their own chunk, and cross-chunk failures run
-        to completion (a queued chunk cannot be retracted).
+        to completion.
 
         A dead worker does not poison the batch: its lost runs are
-        re-enqueued as singleton chunks, so a poison run that kills its
-        worker takes no innocent chunk-mates down with it. Each run is
+        re-enqueued as singleton chunks at the back of the same queue,
+        so a poison run that kills its worker takes no innocent
+        chunk-mates down with it. Each run is
         re-enqueued at most ``retries + 1`` times (once without a fault
         policy); beyond that it is a ``worker-crash`` fault —
         quarantined under degrade, raised otherwise.
@@ -1025,18 +1029,19 @@ class ProbeEngine:
         requeues: dict[tuple[int, int], int] = {}
         recoveries = 0
         inflight: "dict[int, list[tuple[int, int, InterpositionPolicy]]]" = {}
-
-        def submit(chunk: list) -> None:
-            job = (backend, workload, chunk, early_exit, fault_policy)
-            inflight[transport.submit(job)] = chunk
-
-        for start in range(0, len(tasks), per_chunk):
-            submit([
+        pending = deque(
+            [
                 (probe_index, replica, policy)
                 for probe_index, replica, policy, _key
                 in tasks[start:start + per_chunk]
-            ])
-        while inflight:
+            ]
+            for start in range(0, len(tasks), per_chunk)
+        )
+        while pending or inflight:
+            while pending and len(inflight) < max(1, transport.width):
+                chunk = pending.popleft()
+                job = (backend, workload, chunk, early_exit, fault_policy)
+                inflight[transport.submit(job)] = chunk
             lost: list[tuple[int, int, InterpositionPolicy]] = []
             for kind, chunk_id, body in transport.next_events():
                 chunk = inflight.pop(chunk_id, None)
@@ -1072,7 +1077,7 @@ class ProbeEngine:
                 if count < max_requeues:
                     requeues[(probe_index, replica)] = count + 1
                     requeued += 1
-                    submit([(probe_index, replica, policy)])
+                    pending.append([(probe_index, replica, policy)])
                     continue
                 fault = ProbeFault(
                     workload=workload.name,

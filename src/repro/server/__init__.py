@@ -11,12 +11,13 @@ The pieces, bottom up:
 
 * :mod:`~repro.server.jobstore` — job specs, the lifecycle state
   machine (``queued → running → done/failed/cancelled/quarantined``),
-  filesystem storage with atomic metadata writes, leases and attempt
-  history, and crash recovery that *resumes* orphaned work;
-* :mod:`~repro.server.queue` — the FIFO queue, worker pool, and
-  lease reaper that drain jobs through sessions, wiring cooperative
-  cancellation and heartbeats into the analyzer's ``cancel_check``
-  and ``progress_hook``, with admission control and drain mode;
+  filesystem storage with atomic metadata writes, job ownership and
+  attempt history, and crash recovery that *resumes* orphaned work;
+* :mod:`~repro.server.queue` — the FIFO queue and worker pool that
+  drain jobs through sessions, wiring cooperative cancellation into
+  the analyzer's ``cancel_check``, with admission control and drain
+  mode (a hung run is bounded by its own timeout — the spec's
+  ``probe_timeout`` or the backend's — not by the server);
 * :mod:`~repro.server.handlers` — the HTTP surface, including the
   long-polling ``/jobs/<id>/events`` replay;
 * :mod:`~repro.server.app` — :class:`CampaignServer`, composing the

@@ -11,7 +11,7 @@ and begins serving, :meth:`close` winds everything down.
 On start the server writes a **discovery file**,
 ``<data_dir>/server.json`` (``{"url", "pid", "started_at"}``), so
 scripts that launched ``loupe serve --port 0`` in the background — the
-CI smoke job, the test suite — can find the actual address without
+end-to-end tests, say — can find the actual address without
 parsing stdout. The file is removed on clean shutdown; a stale one
 simply points at a dead port, which clients report as a connection
 error, not silent hangs.
@@ -43,7 +43,7 @@ from repro.server.jobstore import (
     JobSpecError,
     JobStore,
 )
-from repro.server.queue import DEFAULT_LEASE_S, DEFAULT_MAX_ATTEMPTS, JobRunner
+from repro.server.queue import DEFAULT_MAX_ATTEMPTS, JobRunner
 
 
 class CampaignServer:
@@ -66,9 +66,7 @@ class CampaignServer:
         workers: int = 2,
         run_cache: "str | None" = None,
         max_queue: "int | None" = None,
-        lease_s: float = DEFAULT_LEASE_S,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        reaper_interval_s: "float | None" = None,
         verbose: bool = False,
     ) -> None:
         self.data_dir = Path(data_dir)
@@ -86,9 +84,7 @@ class CampaignServer:
             self.store,
             workers=workers,
             max_queue=max_queue,
-            lease_s=lease_s,
             max_attempts=max_attempts,
-            reaper_interval_s=reaper_interval_s,
         )
         self._httpd = CampaignHTTPServer((host, port), self)
         self._thread: "threading.Thread | None" = None
@@ -246,7 +242,6 @@ class CampaignServer:
             },
             "attempts": {
                 "max_attempts": self.runner.max_attempts,
-                "lease_s": self.runner.lease_s,
                 "retries": sum(a - 1 for a in attempts),
                 "max_observed": max(attempts, default=0),
             },

@@ -2,8 +2,8 @@
 
 :class:`ServiceClient` is the one place the wire protocol is spoken
 from the client side — the CLI's ``submit``/``jobs``/``tail``/
-``cancel`` subcommands, the test suite, and the CI smoke job all go
-through it, so a protocol change breaks loudly in exactly one module.
+``cancel`` subcommands and the test suite all go through it, so a
+protocol change breaks loudly in exactly one module.
 
 Everything rides :mod:`urllib.request` (the no-new-deps rule applies
 to clients too). Server-reported errors surface as

@@ -22,7 +22,7 @@ The state machine::
     queued ──> running ──> done
        │          ├──────> failed
        │          ├──────> quarantined   (attempt budget exhausted)
-       │          ├──────> queued        (lease reclaim / crash resume)
+       │          ├──────> queued        (crash resume)
        └──────────┴──────> cancelled
 
 :meth:`JobStore.transition` enforces exactly those edges under one
@@ -31,19 +31,18 @@ lock, which is what makes the submit/cancel race benign: a concurrent
 resolve to whichever transition commits first, and the loser gets a
 :class:`JobStateError` instead of a corrupted meta file.
 
-**Leases.** A ``running`` job is not merely a status — it is a claim:
-``meta.json`` records the owning worker (``lease_owner``), the
-deadline by which that worker must prove liveness (``lease_deadline``)
-and its last proof (``heartbeat_at``, refreshed at analyzer wave
-boundaries through ``AnalyzerConfig.progress_hook``). Transitions out
-of ``running`` verify the caller still holds the lease, so a worker
-whose job was reclaimed by the reaper cannot overwrite the successor's
-state — the stale claim dies with a :class:`JobStateError`, not a
-corrupted lifecycle.
+**Ownership.** A ``running`` job is not merely a status — it is a
+claim: ``meta.json`` records the owning worker (``lease_owner``).
+Transitions out of ``running`` verify the caller still owns the job,
+so a worker whose job was requeued meanwhile cannot overwrite the
+successor's state — the stale claim dies with a
+:class:`JobStateError`, not a corrupted lifecycle. Nothing expires a
+claim: a hung run is bounded by its own timeout, and a dead server's
+claims are voided by :meth:`JobStore.recover` at the next start.
 
 **Attempts.** ``attempt`` counts executions of the job (1-based);
-every reclaim or crash recovery bumps it and appends a record to
-``history`` (who held the lease, why it was lost, when), the full
+every crash recovery bumps it and appends a record to ``history``
+(which worker owned it, why it was lost, when), the full
 audit trail ``GET /jobs/<id>`` exposes. A job whose attempts are
 exhausted lands ``quarantined`` — terminal, never blocking the queue,
 history intact for triage.
@@ -91,8 +90,8 @@ TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED, QUARANTINED})
 
 #: The legal edges of the lifecycle state machine — everything else is
 #: a bug (or a race that lost, which callers handle explicitly).
-#: ``running → queued`` is the durability edge: a lease reclaim or a
-#: crash recovery hands the job back to the queue for another attempt.
+#: ``running → queued`` is the durability edge: crash recovery hands
+#: the job back to the queue for another attempt.
 LEGAL_TRANSITIONS = frozenset({
     (QUEUED, RUNNING),
     (QUEUED, CANCELLED),
@@ -269,12 +268,12 @@ class JobMeta:
     still reports what it paid for.
 
     The durability fields: ``attempt`` is 1-based and bumps on every
-    reclaim/resume; ``lease_owner``/``lease_deadline``/``heartbeat_at``
-    describe the live claim while ``running`` (cleared on requeue,
-    deadline cleared but owner kept on terminal states — forensics);
-    ``history`` is the append-only audit trail of lost attempts, one
-    record per reclaim/recovery/rebuild, each carrying at least
-    ``attempt``, ``outcome`` and ``at``.
+    resume; ``lease_owner`` names the worker that owns the job while
+    ``running`` (cleared on requeue, kept on terminal states —
+    forensics); ``history`` is the append-only audit trail of lost
+    attempts, one record per recovery/rebuild, each carrying at least
+    ``attempt``, ``outcome`` and ``at``. Keys this class does not
+    know, such as fields an older server wrote, are dropped on load.
     """
 
     id: str
@@ -289,8 +288,6 @@ class JobMeta:
     engine_stats: "dict | None" = None
     attempt: int = 1
     lease_owner: str = ""
-    lease_deadline: "float | None" = None
-    heartbeat_at: "float | None" = None
     history: tuple = ()
 
     def to_dict(self) -> dict:
@@ -317,8 +314,8 @@ def _marker_line(fields: dict) -> str:
 def encode_report(outcome: object) -> str:
     """The canonical ``report.json`` serialization.
 
-    One definition shared by the job runner, the tests, and the CI
-    smoke job, so "the server's report is byte-identical to a direct
+    One definition shared by the job runner and the tests, so "the
+    server's report is byte-identical to a direct
     :meth:`LoupeSession.analyze` run" is checkable with ``cmp``:
     serialize the direct outcome with this same function and compare
     bytes. Works for both job outcome shapes —
@@ -332,8 +329,8 @@ def encode_report(outcome: object) -> str:
 class JobStore:
     """Filesystem-backed job storage with a lock-guarded state machine.
 
-    All mutation goes through :meth:`new_job`, :meth:`transition`,
-    :meth:`heartbeat`, and :meth:`event_log`; reads (:meth:`meta`,
+    All mutation goes through :meth:`new_job`, :meth:`transition`
+    and :meth:`event_log`; reads (:meth:`meta`,
     :meth:`spec`, :meth:`read_events`) go straight to disk, so any
     process — the server, a test, an operator's shell — sees the same
     truth. ``meta.json`` writes are atomic (temp file +
@@ -453,7 +450,6 @@ class JobStore:
         reason: str = "",
         engine_stats: "dict | None" = None,
         owner: "str | None" = None,
-        lease_s: "float | None" = None,
         bump_attempt: bool = False,
         history_event: "dict | None" = None,
         marker: "dict | None" = None,
@@ -465,14 +461,14 @@ class JobStore:
         running`` and ``queued → cancelled``, exactly one commits and
         the other gets the error to react to.
 
-        *owner* is the lease protocol: a transition **into**
-        ``running`` records the caller as the lease holder (with a
-        deadline ``lease_s`` seconds out); a transition **out of**
-        ``running`` that names an *owner* commits only if that owner
-        still holds the lease — a worker whose job was reclaimed
-        meanwhile gets a :class:`JobStateError` instead of clobbering
-        the successor attempt's state. *bump_attempt* increments the
-        attempt counter (reclaim/recovery requeues); *history_event*
+        *owner* is the stale-outcome guard: a transition **into**
+        ``running`` records the caller as the job's owner; a
+        transition **out of** ``running`` that names an *owner*
+        commits only if that owner still holds the job — a worker
+        whose job was requeued meanwhile gets a :class:`JobStateError`
+        instead of clobbering the successor attempt's state.
+        *bump_attempt* increments the attempt counter (recovery
+        requeues); *history_event*
         appends one audit record to the job's history. *marker* is a
         server-side marker's fields, ``event`` first (see
         :meth:`append_marker`): it is appended once the edge and owner
@@ -489,8 +485,8 @@ class JobStore:
                 # An owner-carrying transition is a worker reporting
                 # its job's outcome; it commits only against the
                 # attempt that worker actually owns. This closes both
-                # stale-claim holes: the job re-leased to a successor
-                # (owner mismatch) and the job already reclaimed back
+                # stale-claim holes: the job handed to a successor
+                # (owner mismatch) and the job already requeued back
                 # to ``queued`` (no longer running at all — without
                 # this, a stale worker could ride the legal
                 # ``queued → cancelled`` edge over the rerun).
@@ -502,7 +498,7 @@ class JobStore:
                 if meta.lease_owner and owner != meta.lease_owner:
                     raise JobStateError(
                         job_id, meta.status, status,
-                        detail=f"lease held by {meta.lease_owner!r}, "
+                        detail=f"owned by {meta.lease_owner!r}, "
                                f"not {owner!r}",
                     )
             now = time.time()
@@ -520,24 +516,17 @@ class JobStore:
             if status == RUNNING:
                 updates["started_at"] = now
                 updates["lease_owner"] = owner or ""
-                updates["lease_deadline"] = (
-                    now + lease_s if lease_s else None
-                )
-                updates["heartbeat_at"] = now
             if status == QUEUED:
-                # Requeue: the claim is void; the next worker starts a
-                # fresh lease. started_at is cleared so queue-age
+                # Requeue: the claim is void; the next worker makes a
+                # fresh one. started_at is cleared so queue-age
                 # metrics and "when did this attempt start" never read
                 # a dead attempt's clock.
                 updates["started_at"] = None
                 updates["lease_owner"] = ""
-                updates["lease_deadline"] = None
-                updates["heartbeat_at"] = None
             if status in TERMINAL_STATES:
+                # lease_owner stays for the post-mortem ("which worker
+                # landed this?").
                 updates["finished_at"] = now
-                # Keep lease_owner for the post-mortem ("which worker
-                # landed this?"), but no live claim remains.
-                updates["lease_deadline"] = None
             meta = dataclasses.replace(meta, **updates)
             if marker is not None:
                 # Not through event_log: its wakeup takes the store
@@ -547,31 +536,6 @@ class JobStore:
             self._write_meta(meta)
         self._notify(job_id)
         return meta
-
-    def heartbeat(
-        self, job_id: str, owner: str, lease_s: float
-    ) -> bool:
-        """Refresh *owner*'s lease on a running job.
-
-        Returns ``True`` when the lease was extended (``heartbeat_at``
-        stamped, deadline pushed ``lease_s`` out), ``False`` when the
-        claim no longer exists — job not running, or leased to someone
-        else (the reaper reclaimed it). A ``False`` answer is the
-        worker's cue to abandon the attempt: its results would be
-        discarded by the stale-owner check anyway.
-        """
-        with self._lock:
-            try:
-                meta = self.meta(job_id)
-            except (UnknownJobError, TornMetaError):
-                return False
-            if meta.status != RUNNING or meta.lease_owner != owner:
-                return False
-            now = time.time()
-            self._write_meta(dataclasses.replace(
-                meta, heartbeat_at=now, lease_deadline=now + lease_s
-            ))
-        return True
 
     def _write_meta(self, meta: JobMeta) -> None:
         path = self.meta_path(meta.id)
@@ -620,7 +584,7 @@ class JobStore:
         ``job_quarantined``, ``job_interrupted``. They exist so the
         stream always carries a terminal (or handoff) record even when
         the analyzer never got to emit one — a worker killed mid-wave,
-        a crashed campaign, a reclaimed lease — and a tailing client
+        a crashed campaign, a server restart — and a tailing client
         is never left staring at a stream that just stops.
         """
         self.append_event(job_id, _marker_line({"event": kind, **fields}))

@@ -1,4 +1,4 @@
-"""The campaign server's work queue, worker pool, and reaper.
+"""The campaign server's work queue and worker pool.
 
 Submitted jobs drain through a plain FIFO: :class:`JobRunner` owns a
 :class:`queue.Queue` of job ids and a fixed pool of worker threads,
@@ -26,23 +26,14 @@ lands ``cancelled`` with its engine accounting intact.
 The durability layer (this module's half of it — the persistent half
 lives in :mod:`repro.server.jobstore`):
 
-* **Leases + heartbeats.** A worker takes each job under a lease
-  (``lease_s`` seconds) and proves liveness through the analyzer's
-  ``progress_hook``, which fires at every wave boundary — the same
-  cadence as cooperative cancellation, so a campaign that can be
-  cancelled can also be seen to be alive. :class:`_Heartbeat`
-  throttles the disk writes and flips its ``lost`` flag the moment the
-  store refuses a beat (the reaper took the job), which the worker's
-  ``cancel_check`` observes: a reclaimed worker stops at its next
-  wave instead of burning probes on a job it no longer owns.
-
-* **The reaper.** A daemon thread sweeps for running jobs whose lease
-  deadline has passed — a worker wedged in a backend, a heartbeat
-  that stopped — and reclaims them: re-enqueued with ``attempt+1``
-  (the retry runs from scratch, or warm through the run cache its spec
-  names) or, once ``max_attempts`` is spent, quarantined with the full
-  attempt history. Either way a marker event lands in the stream, so a
-  tailing client sees the handoff.
+* **Hangs and crashes.** A hung run is bounded by the run's own
+  timeout — the spec's ``probe_timeout`` (``guarded_run``, on any
+  backend) or ptrace's ``timeout_s`` and its pidfd watchdog — which
+  frees the worker, so the job lands ``done`` (degraded) or
+  ``failed``. A server that dies leaves its jobs ``running`` on disk;
+  the next start's :meth:`~repro.server.jobstore.JobStore.recover`
+  requeues them with ``attempt+1``, or quarantines one that has
+  taken the server down ``max_attempts`` times.
 
 * **Resume.** A resumed attempt re-runs its campaign through the
   spec's own config. A spec that names a run cache (or a server
@@ -67,7 +58,6 @@ import json
 import os
 import queue
 import threading
-import time
 
 from repro.api.events import envelope
 from repro.api.session import LoupeSession
@@ -89,11 +79,6 @@ from repro.server.jobstore import (
 
 #: Queue sentinel telling one worker thread to exit.
 _STOP = object()
-
-#: Default lease duration. Generous next to the sub-second waves of
-#: the simulated backends, and refreshed every wave — an expiry means
-#: a worker made *no* progress for this long, not a slow campaign.
-DEFAULT_LEASE_S = 30.0
 
 #: Default attempt budget before a job is quarantined as poisonous.
 DEFAULT_MAX_ATTEMPTS = 3
@@ -122,39 +107,6 @@ class ServerDrainingError(JobError):
         super().__init__("server is draining; not accepting new jobs")
 
 
-class _Heartbeat:
-    """One running job's liveness prover — the ``progress_hook``.
-
-    Called at every analyzer wave boundary; throttles actual store
-    writes to ``interval`` so a fast campaign doesn't turn its
-    heartbeat into an fsync storm. The moment the store refuses a
-    beat — the job is no longer running, or no longer ours — ``lost``
-    latches true and stays true: the worker's ``cancel_check`` reads
-    it and winds the orphaned attempt down at the next wave.
-    """
-
-    def __init__(
-        self, store: JobStore, job_id: str, owner: str, lease_s: float
-    ) -> None:
-        self.store = store
-        self.job_id = job_id
-        self.owner = owner
-        self.lease_s = lease_s
-        self.interval = max(min(1.0, lease_s / 8.0), 0.01)
-        self.lost = False
-        self._last_beat = 0.0
-
-    def __call__(self) -> None:
-        if self.lost:
-            return
-        now = time.monotonic()
-        if now - self._last_beat < self.interval:
-            return
-        self._last_beat = now
-        if not self.store.heartbeat(self.job_id, self.owner, self.lease_s):
-            self.lost = True
-
-
 class JobRunner:
     """A bounded worker pool draining the job queue through sessions.
 
@@ -165,10 +117,8 @@ class JobRunner:
     return one record and the second job's event log would be empty.
 
     Durability knobs: ``max_queue`` bounds accepted-but-unstarted jobs
-    (``None`` = unbounded, the embedded-test default); ``lease_s`` and
-    ``max_attempts`` parameterize the lease protocol described in the
-    module docstring. ``reaper_interval_s`` mainly exists for tests;
-    the default sweeps a few times per lease.
+    (``None`` = unbounded, the embedded-test default); ``max_attempts``
+    is the restart budget :meth:`JobStore.recover` applies at start.
     """
 
     def __init__(
@@ -177,35 +127,23 @@ class JobRunner:
         *,
         workers: int = 2,
         max_queue: "int | None" = None,
-        lease_s: float = DEFAULT_LEASE_S,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        reaper_interval_s: "float | None" = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if max_queue is not None and max_queue < 1:
             raise ValueError("max_queue must be >= 1 (or None for unbounded)")
-        if lease_s <= 0:
-            raise ValueError("lease_s must be > 0")
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.store = store
         self.workers = workers
         self.max_queue = max_queue
-        self.lease_s = lease_s
         self.max_attempts = max_attempts
-        self.reaper_interval_s = (
-            reaper_interval_s
-            if reaper_interval_s is not None
-            else max(min(lease_s / 4.0, 5.0), 0.05)
-        )
         self._queue: "queue.Queue[object]" = queue.Queue()
         self._cancels: dict[str, threading.Event] = {}
         self._lock = threading.Lock()
         self._busy = 0
         self._threads: list[threading.Thread] = []
-        self._reaper: "threading.Thread | None" = None
-        self._stop_reaper = threading.Event()
         self._started = False
         self._draining = False
 
@@ -213,7 +151,7 @@ class JobRunner:
 
     def start(self) -> None:
         """Recover the store, re-enqueue surviving work, and spin up
-        the workers and the reaper. Idempotent.
+        the workers. Idempotent.
 
         Recovery is the resume path: orphaned ``running`` jobs come
         back ``queued`` with ``attempt+1`` (or quarantined, budget
@@ -224,7 +162,6 @@ class JobRunner:
             if self._started:
                 return
             self._started = True
-        self._stop_reaper.clear()
         resumed, _quarantined, requeue = self.store.recover(
             max_attempts=self.max_attempts
         )
@@ -238,10 +175,6 @@ class JobRunner:
             )
             thread.start()
             self._threads.append(thread)
-        self._reaper = threading.Thread(
-            target=self._reaper_loop, name="loupe-reaper", daemon=True
-        )
-        self._reaper.start()
 
     def stop(
         self,
@@ -266,14 +199,10 @@ class JobRunner:
                 events = list(self._cancels.values())
             for event in events:
                 event.set()
-        self._stop_reaper.set()
         for _ in self._threads:
             self._queue.put(_STOP)
         for thread in self._threads:
             thread.join(timeout=timeout)
-        if self._reaper is not None:
-            self._reaper.join(timeout=timeout)
-            self._reaper = None
         self._threads.clear()
         for meta in self.store.list_jobs():
             if meta.status == RUNNING:
@@ -322,9 +251,8 @@ class JobRunner:
         return meta
 
     def submit_existing(self, job_id: str) -> None:
-        """Re-enqueue a job already persisted as ``queued`` (recovery
-        and reclaim paths — exempt from admission control: this work
-        was already accepted once)."""
+        """Re-enqueue a job already persisted as ``queued`` (exempt
+        from admission control: this work was already accepted once)."""
         self._enqueue(job_id)
 
     def _enqueue(self, job_id: str) -> None:
@@ -376,81 +304,6 @@ class JobRunner:
         with self._lock:
             return self._busy
 
-    # -- the reaper ----------------------------------------------------------
-
-    def _reaper_loop(self) -> None:
-        while not self._stop_reaper.wait(self.reaper_interval_s):
-            try:
-                self.reap()
-            except Exception:  # noqa: BLE001 — the reaper outlives
-                # any single bad job directory; a scan that trips on
-                # one must still run the next sweep.
-                pass
-
-    def reap(self) -> list[JobMeta]:
-        """One reaper sweep: reclaim every running job whose lease
-        deadline has passed. Public so tests (and operators in a
-        REPL) can force a deterministic sweep instead of waiting out
-        the interval. Returns the metas it transitioned."""
-        now = time.time()
-        reclaimed = []
-        for meta in self.store.list_jobs():
-            if meta.status != RUNNING:
-                continue
-            if meta.lease_deadline is None or meta.lease_deadline > now:
-                continue
-            result = self._reclaim(meta)
-            if result is not None:
-                reclaimed.append(result)
-        return reclaimed
-
-    def _reclaim(self, meta: JobMeta) -> "JobMeta | None":
-        """Take one expired-lease job away from its (presumed-dead)
-        worker: requeue with ``attempt+1``, or quarantine once the
-        attempt budget is spent. Either way the old attempt's cancel
-        event fires, so a worker that was merely *slow* rather than
-        dead stops at its next wave — and its stale terminal
-        transition is rejected by the store's owner check regardless.
-        """
-        with self._lock:
-            event = self._cancels.get(meta.id)
-        if event is not None:
-            event.set()
-        entry = {
-            "attempt": meta.attempt,
-            "outcome": "lease-expired",
-            "owner": meta.lease_owner,
-        }
-        try:
-            if meta.attempt >= self.max_attempts:
-                result = self.store.transition(
-                    meta.id, QUARANTINED,
-                    reason=(
-                        f"lease expired on attempt "
-                        f"{meta.attempt}/{self.max_attempts}; "
-                        f"attempt budget exhausted"
-                    ),
-                    history_event=entry,
-                    marker={"event": "job_quarantined",
-                            "attempt": meta.attempt,
-                            "reason": "lease-expired"},
-                )
-            else:
-                result = self.store.transition(
-                    meta.id, QUEUED,
-                    bump_attempt=True, history_event=entry,
-                    marker={"event": "job_requeued",
-                            "attempt": meta.attempt + 1,
-                            "reason": "lease-expired"},
-                )
-                self._enqueue(meta.id)
-        except JobStateError:
-            # The worker finished (or a cancel landed) between our
-            # scan and the reclaim — the job resolved itself; the
-            # expired deadline is moot.
-            return None
-        return result
-
     # -- the work loop -------------------------------------------------------
 
     def _worker_loop(self) -> None:
@@ -477,10 +330,10 @@ class JobRunner:
                 finally:
                     with self._lock:
                         self._busy -= 1
-                        # Identity check: a reclaim re-enqueues the
-                        # same id with a *new* cancel event; a stale
-                        # worker finishing late must not pop the
-                        # successor attempt's event.
+                        # Identity check: a restart's recovery
+                        # re-enqueues the same id with a *new* cancel
+                        # event; a stale worker finishing late must
+                        # not pop the successor attempt's event.
                         if self._cancels.get(job_id) is event:
                             del self._cancels[job_id]
             finally:
@@ -490,20 +343,12 @@ class JobRunner:
         self, job_id: str, cancel_event: threading.Event, owner: str
     ) -> None:
         try:
-            self.store.transition(
-                job_id, RUNNING, owner=owner, lease_s=self.lease_s
-            )
+            self.store.transition(job_id, RUNNING, owner=owner)
         except JobStateError:
             # Cancelled (or otherwise resolved) while queued — the
             # state machine already recorded the outcome; nothing to
             # run.
             return
-
-        heartbeat = _Heartbeat(self.store, job_id, owner, self.lease_s)
-
-        def cancelled() -> bool:
-            return cancel_event.is_set() or heartbeat.lost
-
         try:
             spec = self.store.spec(job_id)
             with self.store.event_log(job_id) as append, \
@@ -511,8 +356,7 @@ class JobRunner:
                 outcome = session.analyze(
                     spec.request(),
                     on_event=lambda event: append(json.dumps(envelope(event))),
-                    cancel_check=cancelled,
-                    progress_hook=heartbeat,
+                    cancel_check=cancel_event.is_set,
                 )
                 stats = session.last_engine_stats
             self._write_report(job_id, outcome)
@@ -521,12 +365,6 @@ class JobRunner:
                 engine_stats=_stats_doc(stats),
             )
         except AnalysisCancelledError as error:
-            if heartbeat.lost:
-                # Not a user cancel: the reaper took this job away
-                # (it is already queued again or quarantined, under a
-                # different claim). The orphaned attempt ends here,
-                # recording nothing.
-                return
             self._transition_safely(
                 job_id, CANCELLED, owner,
                 reason="cancelled while running",
@@ -546,8 +384,8 @@ class JobRunner:
     def _transition_safely(
         self, job_id: str, status: str, owner: str, **kwargs: object
     ) -> "JobMeta | None":
-        """Commit a worker's outcome — unless the worker's claim died
-        meanwhile (lease reclaimed, job requeued), in which case the
+        """Commit a worker's outcome — unless the worker no longer owns
+        the job (a restart's recovery requeued it), in which case the
         store refuses and the stale outcome is dropped on the floor,
         which is exactly where it belongs."""
         try:

@@ -386,7 +386,7 @@ class TestMultiTargetFanOut:
         assert [(e.backend, e.ok) for e in finished] == [("appsim", True)]
         [ready] = [e for e in events if isinstance(e, CrossValidationReady)]
         # The report round-trips through its JSON event form — this is
-        # the contract the CI compare-smoke job leans on.
+        # the contract tests/test_e2e_compare.py leans on.
         payload = json_module.loads(json_module.dumps(ready.to_dict()))
         assert payload["event"] == "cross_validation_report"
         rebuilt = CrossValidationReport.from_dict(payload["report"])

@@ -92,6 +92,38 @@ class _ShardableBackend(_CountingBackend):
         self.lock = threading.Lock()
 
 
+class _IntervalBackend(_ShardableBackend):
+    """Sleeps through each run and appends its start and end to a log,
+    so a test can count how many runs the workers had going at once."""
+
+    def __init__(self, log_path, delay_s=0.05):
+        super().__init__()
+        self.log_path = str(log_path)
+        self.delay_s = delay_s
+
+    def run(self, workload, policy, *, replica=0):
+        import time
+
+        start = time.monotonic()
+        time.sleep(self.delay_s)
+        end = time.monotonic()
+        with open(self.log_path, "a") as handle:
+            handle.write(f"{start} {end}\n")
+        return super().run(workload, policy, replica=replica)
+
+
+def _most_runs_at_once(log_path):
+    edges = []
+    for line in log_path.read_text().splitlines():
+        start, end = map(float, line.split())
+        edges += [(start, 1), (end, -1)]
+    live = peak = 0
+    for _, step in sorted(edges):  # at a tie, an end sorts first
+        live += step
+        peak = max(peak, live)
+    return peak
+
+
 class _ExplodingBackend(_ShardableBackend):
     def run(self, workload, policy, *, replica=0):
         if replica == 0:
@@ -811,6 +843,35 @@ class TestEngineLifecycle:
             assert grown._max_workers == 4
         engine_module.shutdown_worker_pools()
         assert engine_module._PROCESS_POOL is None
+
+    def test_parallel_bounds_runs_on_a_wider_shared_pool(self, tmp_path):
+        """An engine runs at most ``parallel`` runs at once, even after
+        a wider engine has grown the shared pool past its width."""
+        policies = [
+            stubbing(name) for name in (
+                "close", "uname", "prctl", "read",
+                "write", "openat", "mmap", "brk",
+            )
+        ]
+        peaks = []
+        engine_module.shutdown_worker_pools()
+        try:
+            for width in (2, 4, 2):
+                log = tmp_path / f"batch-{len(peaks)}.log"
+                with ProbeEngine(
+                    parallel=width, executor="process", cache=False
+                ) as engine:
+                    engine.run_probe_batch(
+                        _IntervalBackend(log), benchmark("b", "m"),
+                        policies, 2, early_exit=False,
+                    )
+                assert engine.stats.runs_executed == 16
+                peaks.append(_most_runs_at_once(log))
+        finally:
+            engine_module.shutdown_worker_pools()
+        assert peaks[0] <= 2
+        assert peaks[1] <= 4
+        assert peaks[2] <= 2, peaks
 
     def test_shardability_checked_once_per_backend(self, monkeypatch):
         """The pickle round-trip runs once per backend object, not on

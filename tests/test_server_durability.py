@@ -1,5 +1,5 @@
-"""Tests for the campaign server's durability substrate: leases and
-heartbeats, the reaper, crash resume, poison-job quarantine,
+"""Tests for the campaign server's durability substrate: job
+ownership, crash resume, poison-job quarantine, hung and slow runs,
 torn-metadata recovery, admission control, drain mode, and the
 client's transient-retry behavior."""
 
@@ -15,16 +15,16 @@ import pytest
 
 from repro.api.registry import (
     register_backend,
+    register_chaos,
     resolve_backend,
     unregister_backend,
 )
-from repro.api.session import LoupeSession
+from repro.core.faults import ChaosSpec
 from repro.errors import ServiceUnavailableError
 from repro.server import (
     CANCELLED,
     DONE,
     FAILED,
-    QUARANTINED,
     QUEUED,
     RUNNING,
     TERMINAL_STATES,
@@ -86,6 +86,38 @@ def slow_backend_name():
     unregister_backend("slowsim")
 
 
+class _SlowBaselineBackend(_SlowBackend):
+    """Sleeps through passthrough runs only: the baseline's."""
+
+    def run(self, workload, policy, *, replica=0):
+        if policy.altered_features():
+            return self.inner.run(workload, policy, replica=replica)
+        return super().run(workload, policy, replica=replica)
+
+
+@pytest.fixture
+def slow_baseline_name():
+    def factory(request):
+        target = resolve_backend("appsim")(request)
+        return dataclasses.replace(
+            target, backend=_SlowBaselineBackend(target.backend, 0.25)
+        )
+
+    register_backend("slowbaseline", factory, replace=True)
+    yield "slowbaseline"
+    unregister_backend("slowbaseline")
+
+
+@pytest.fixture
+def hang_backend_name():
+    name = register_chaos(
+        "appsim", ChaosSpec(hang_features={"getpid"}, hang_s=3.0),
+        name="chaos:hang", replace=True,
+    )
+    yield name
+    unregister_backend(name)
+
+
 def _events(store, job_id):
     lines, _ = store.read_events(job_id)
     return [json.loads(line) for line in lines]
@@ -101,48 +133,14 @@ class TestLeases:
                 and client.job(meta["id"])
             ))
             assert running["lease_owner"]
-            assert running["lease_deadline"] > time.time()
-            assert running["heartbeat_at"] is not None
             assert running["attempt"] == 1
             client.cancel(meta["id"])
-
-    def test_heartbeats_refresh_at_wave_boundaries(
-        self, tmp_path, slow_backend_name
-    ):
-        # A short lease forces the heartbeat throttle low, so wave
-        # boundaries of the slowed backend visibly push the deadline.
-        with CampaignServer(
-            tmp_path / "svc", workers=1, lease_s=0.5,
-            reaper_interval_s=3600.0,
-        ) as server:
-            client = ServiceClient(server.url)
-            meta = client.submit(SLOW_SPEC)
-            first = _wait_until(lambda: (
-                client.job(meta["id"])["status"] == RUNNING
-                and client.job(meta["id"])
-            ))
-            second = _wait_until(lambda: (
-                client.job(meta["id"])["heartbeat_at"]
-                > first["heartbeat_at"]
-                and client.job(meta["id"])
-            ))
-            assert second["lease_deadline"] > first["lease_deadline"]
-            client.cancel(meta["id"])
-
-    def test_heartbeat_refused_for_stale_owner(self, tmp_path):
-        store = JobStore(tmp_path)
-        meta = store.new_job(JobSpec(**QUICK_SPEC))
-        store.transition(meta.id, RUNNING, owner="w1", lease_s=30.0)
-        assert store.heartbeat(meta.id, "w1", 30.0) is True
-        assert store.heartbeat(meta.id, "other", 30.0) is False
-        store.transition(meta.id, QUEUED, bump_attempt=True)
-        assert store.heartbeat(meta.id, "w1", 30.0) is False
 
     def test_stale_owner_cannot_commit_an_outcome(self, tmp_path):
         store = JobStore(tmp_path)
         meta = store.new_job(JobSpec(**QUICK_SPEC))
-        store.transition(meta.id, RUNNING, owner="w1", lease_s=30.0)
-        # The reaper hands the job to a new attempt...
+        store.transition(meta.id, RUNNING, owner="w1")
+        # A restart's recovery hands the job to a new attempt...
         store.transition(meta.id, QUEUED, bump_attempt=True)
         # ...so the old worker's terminal report must be refused, even
         # though queued → cancelled is a legal edge in general.
@@ -154,92 +152,46 @@ class TestLeases:
         assert store.meta(meta.id).attempt == 2
 
 
-class TestReaper:
-    def _expired_running_job(self, store, attempt=1):
-        meta = store.new_job(JobSpec(**QUICK_SPEC))
-        for lost in range(1, attempt):
-            store.transition(meta.id, RUNNING, owner="dead", lease_s=0.001)
-            store.transition(
-                meta.id, QUEUED, bump_attempt=True,
-                history_event={
-                    "attempt": lost, "outcome": "lease-expired",
-                    "owner": "dead",
-                },
-            )
-        store.transition(meta.id, RUNNING, owner="dead", lease_s=0.001)
-        time.sleep(0.01)
-        return meta.id
+class TestHungAndSlowJobs:
+    """Nothing on the server expires a job: a slow run is left to
+    finish, and a hung one is bounded by the run's own timeout."""
 
-    def test_expired_lease_is_reclaimed(self, tmp_path):
-        store = JobStore(tmp_path)
-        runner = JobRunner(store, workers=1, max_attempts=3)
-        job_id = self._expired_running_job(store)
-        reclaimed = runner.reap()
-        assert [m.id for m in reclaimed] == [job_id]
-        meta = store.meta(job_id)
-        assert meta.status == QUEUED
-        assert meta.attempt == 2
-        assert meta.lease_owner == ""
-        assert meta.history[-1]["outcome"] == "lease-expired"
-        assert meta.history[-1]["owner"] == "dead"
-        kinds = [doc["event"] for doc in _events(store, job_id)]
-        assert "job_requeued" in kinds
-
-    def test_exhausted_attempts_are_quarantined(self, tmp_path):
-        store = JobStore(tmp_path)
-        runner = JobRunner(store, workers=1, max_attempts=2)
-        job_id = self._expired_running_job(store, attempt=2)
-        runner.reap()
-        meta = store.meta(job_id)
-        assert meta.status == QUARANTINED
-        assert "attempt budget exhausted" in meta.reason
-        # Full fault history: one record per lost attempt.
-        assert [entry["outcome"] for entry in meta.history] == [
-            "lease-expired", "lease-expired",
-        ]
-        kinds = [doc["event"] for doc in _events(store, job_id)]
-        assert "job_quarantined" in kinds
-        # Terminal: the reaper never touches it again.
-        assert runner.reap() == []
-
-    def test_live_leases_are_left_alone(self, tmp_path):
-        store = JobStore(tmp_path)
-        runner = JobRunner(store, workers=1)
-        meta = store.new_job(JobSpec(**QUICK_SPEC))
-        store.transition(meta.id, RUNNING, owner="alive", lease_s=60.0)
-        assert runner.reap() == []
-        assert store.meta(meta.id).status == RUNNING
-
-    def test_reaper_thread_reclaims_a_hung_worker(
-        self, tmp_path, slow_backend_name
-    ):
-        # A truly hung worker stops heartbeating; modeled here by
-        # stealing its lease (so its beats are refused and cannot
-        # refresh the deadline) and expiring the deadline. The reaper
-        # thread must then quarantine (max_attempts=1) on its own,
-        # while the displaced worker winds down cooperatively — its
-        # heartbeat.lost flag trips at the next wave.
-        with CampaignServer(
-            tmp_path / "svc", workers=1, lease_s=0.2,
-            reaper_interval_s=0.05, max_attempts=1,
-        ) as server:
+    def _run_to_end(self, tmp_path, document):
+        with CampaignServer(tmp_path / "svc", workers=1) as server:
+            assert "loupe-reaper" not in {
+                thread.name for thread in threading.enumerate()
+            }
             client = ServiceClient(server.url)
-            meta = client.submit(SLOW_SPEC)
-            _wait_until(
-                lambda: client.job(meta["id"])["status"] == RUNNING
-            )
-            stored = server.store.meta(meta["id"])
-            server.store._write_meta(dataclasses.replace(
-                stored,
-                lease_owner="somebody-else",
-                lease_deadline=time.time() - 1,
-            ))
+            meta = client.submit(document)
             final = _wait_until(lambda: (
                 client.job(meta["id"])["status"] in TERMINAL_STATES
                 and client.job(meta["id"])
             ))
-            assert final["status"] == QUARANTINED
-            assert final["history"][-1]["outcome"] == "lease-expired"
+            report = json.loads(client.report_bytes(meta["id"]))
+        assert final["status"] == DONE
+        assert final["attempt"] == 1
+        assert final["history"] == []
+        return report
+
+    def test_slow_baseline_runs_to_done_on_first_attempt(
+        self, tmp_path, slow_baseline_name
+    ):
+        # Three baseline replicas of 0.25 s each: 0.75 s with no wave
+        # boundary between them.
+        self._run_to_end(tmp_path, {
+            **QUICK_SPEC, "backend": slow_baseline_name, "replicas": 3,
+        })
+
+    def test_hung_run_is_bounded_by_the_probe_timeout(
+        self, tmp_path, hang_backend_name
+    ):
+        report = self._run_to_end(tmp_path, {
+            **QUICK_SPEC, "backend": hang_backend_name,
+            "probe_timeout": 0.2, "on_fault": "degrade",
+        })
+        assert sorted(
+            (fault["probe"], fault["kind"]) for fault in report["faults"]
+        ) == [("getpid=fake", "timeout"), ("getpid=stub", "timeout")]
 
 
 class TestCheckpointResume:
@@ -261,14 +213,14 @@ class TestCheckpointResume:
         assert cache.is_file()
 
         # Crash scene: a job caught mid-run by a dead server — status
-        # running, lease held by a worker that no longer exists, and
+        # running, owned by a worker that no longer exists, and
         # its run cache already holding every completed probe (the
         # reference job's writes double as "attempt 1 finished all its
         # probes before the crash").
         data_dir = tmp_path / "crashed"
         store = JobStore(data_dir)
         orphan = store.new_job(spec)
-        store.transition(orphan.id, RUNNING, owner="dead-pid", lease_s=30.0)
+        store.transition(orphan.id, RUNNING, owner="dead-pid")
 
         with CampaignServer(data_dir, workers=1) as server:
             client = ServiceClient(server.url)
@@ -331,9 +283,7 @@ class TestLogLifetimes:
         self, tmp_path, slow_backend_name
     ):
         store = JobStore(tmp_path)
-        runner = JobRunner(
-            store, workers=1, max_attempts=2, reaper_interval_s=3600.0
-        )
+        runner = JobRunner(store, workers=1)
         runner.start()
 
         def settle(job_id, status):
@@ -368,27 +318,12 @@ class TestLogLifetimes:
             running_with_logs_open(cancelled.id)
             runner.cancel(cancelled.id)
             settle(cancelled.id, CANCELLED)
-
-            # Reaped: the lease is stolen and expired, the reaper
-            # requeues the job, and drain keeps it queued so the
-            # displaced attempt's handles are all that could be left.
-            requeued = runner.submit(JobSpec(**SLOW_SPEC))
-            running_with_logs_open(requeued.id)
-            store._write_meta(dataclasses.replace(
-                store.meta(requeued.id),
-                lease_owner="somebody-else",
-                lease_deadline=time.time() - 1,
-            ))
-            runner.drain()
-            assert [m.id for m in runner.reap()] == [requeued.id]
-            settle(requeued.id, QUEUED)
-            assert store.meta(requeued.id).attempt == 2
         finally:
             runner.stop(cancel_running=True)
 
     def test_marker_lands_whole_beside_an_open_worker_handle(self, tmp_path):
-        # The worker appends through its held handle while two reaper
-        # stand-ins append markers through their own, with a short
+        # The worker appends through its held handle while two marker
+        # writers append markers through their own, with a short
         # switch interval so the writes interleave as much as they can.
         store = JobStore(tmp_path)
         job_id = store.new_job(JobSpec(**QUICK_SPEC)).id
@@ -403,17 +338,17 @@ class TestLogLifetimes:
                             {"event": "probe", "n": n, "pad": padding}
                         ))
 
-                def reaper(first):
+                def markers(first):
                     for attempt in range(first, first + 15):
                         store.append_marker(
                             job_id, "job_requeued",
-                            attempt=attempt, reason="lease-expired",
+                            attempt=attempt, reason="server-restart",
                         )
 
                 threads = [
                     threading.Thread(target=worker),
-                    threading.Thread(target=reaper, args=(0,)),
-                    threading.Thread(target=reaper, args=(15,)),
+                    threading.Thread(target=markers, args=(0,)),
+                    threading.Thread(target=markers, args=(15,)),
                 ]
                 for thread in threads:
                     thread.start()
@@ -653,6 +588,32 @@ class TestOldDataDir:
             assert done["status"] == DONE
 
 
+    def test_meta_with_lease_keys_loads_and_recovers(self, tmp_path):
+        # A meta.json written while the server still leased jobs
+        # carries a deadline and a heartbeat the meta no longer knows.
+        data_dir = tmp_path / "svc"
+        store = JobStore(data_dir)
+        meta = store.new_job(JobSpec(**QUICK_SPEC))
+        store.transition(meta.id, RUNNING, owner="dead")
+        meta_path = store.meta_path(meta.id)
+        meta_path.write_text(json.dumps({
+            **json.loads(meta_path.read_text()),
+            "lease_deadline": time.time() + 30.0,
+            "heartbeat_at": time.time(),
+        }))
+        assert store.meta(meta.id).status == RUNNING
+        with CampaignServer(data_dir, workers=1) as server:
+            client = ServiceClient(server.url)
+            final = _wait_until(lambda: (
+                client.job(meta.id)["status"] in TERMINAL_STATES
+                and client.job(meta.id)
+            ))
+        assert final["status"] == DONE
+        assert final["attempt"] == 2
+        assert final["history"][-1]["outcome"] == "server-restart"
+        assert "lease_deadline" not in final
+
+
 class TestShutdownMarkers:
     def test_stop_flushes_terminal_marker_for_running_jobs(self, tmp_path):
         store = JobStore(tmp_path)
@@ -662,7 +623,7 @@ class TestShutdownMarkers:
         # window (modeled by never giving it to this runner's queue):
         # stop() must still flush a terminal marker to its stream.
         meta = store.new_job(JobSpec(**QUICK_SPEC))
-        store.transition(meta.id, RUNNING, owner="wedged", lease_s=30.0)
+        store.transition(meta.id, RUNNING, owner="wedged")
         runner.stop(cancel_running=True, timeout=0.5)
         kinds = [doc["event"] for doc in _events(store, meta.id)]
         assert "job_interrupted" in kinds
@@ -776,7 +737,7 @@ class TestDurabilityCLI:
         data_dir = tmp_path / "svc"
         store = JobStore(data_dir)
         poisoned = store.new_job(JobSpec(**QUICK_SPEC))
-        store.transition(poisoned.id, RUNNING, owner="dead", lease_s=0.001)
+        store.transition(poisoned.id, RUNNING, owner="dead")
         healthy = store.new_job(JobSpec(**QUICK_SPEC))
         with CampaignServer(
             data_dir, workers=1, max_attempts=1
@@ -814,21 +775,21 @@ class TestDurabilityCLI:
     def test_no_checkpoint_flag_is_gone(self, tmp_path, capsys):
         from repro.cli import build_parser
 
-        with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args([
-                "serve", "--data-dir", str(tmp_path), "--no-checkpoint",
-            ])
-        assert exit_info.value.code == 2
-        assert "--no-checkpoint" in capsys.readouterr().err
+        for flag in (["--no-checkpoint"], ["--lease", "5"]):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args([
+                    "serve", "--data-dir", str(tmp_path), *flag,
+                ])
+            assert exit_info.value.code == 2
+            assert flag[0] in capsys.readouterr().err
 
     def test_serve_flags_reach_the_runner(self, tmp_path):
         server = CampaignServer(
             tmp_path / "svc",
-            max_queue=7, lease_s=12.0, max_attempts=5,
+            max_queue=7, max_attempts=5,
         )
         try:
             assert server.runner.max_queue == 7
-            assert server.runner.lease_s == 12.0
             assert server.runner.max_attempts == 5
         finally:
             # Never start()ed, so only the bound socket needs release
@@ -836,38 +797,12 @@ class TestDurabilityCLI:
             server._httpd.server_close()
 
 
-class TestProgressHook:
-    def test_hook_fires_at_wave_boundaries(self):
-        calls = []
-        spec = JobSpec.from_dict(QUICK_SPEC)
-        with LoupeSession(config=spec.analyzer_config()) as session:
-            session.analyze(
-                spec.request(), progress_hook=lambda: calls.append(1)
-            )
-        assert len(calls) > 0
-
-    def test_hook_exceptions_never_kill_the_campaign(self):
-        def bomb():
-            raise RuntimeError("heartbeat infrastructure down")
-
-        spec = JobSpec.from_dict(QUICK_SPEC)
-        with LoupeSession(config=spec.analyzer_config()) as session:
-            result = session.analyze(spec.request(), progress_hook=bomb)
-        assert result is not None
-
-    def test_hook_excluded_from_config_equality(self):
-        from repro.core.analyzer import AnalyzerConfig
-
-        assert AnalyzerConfig(progress_hook=lambda: None) == \
-            AnalyzerConfig(progress_hook=lambda: None) == AnalyzerConfig()
-
-
 class TestStatsGauges:
     def test_attempt_and_queue_age_metrics(self, tmp_path):
         data_dir = tmp_path / "svc"
         store = JobStore(data_dir)
         orphan = store.new_job(JobSpec(**QUICK_SPEC))
-        store.transition(orphan.id, RUNNING, owner="dead", lease_s=30.0)
+        store.transition(orphan.id, RUNNING, owner="dead")
         with CampaignServer(data_dir, workers=1) as server:
             client = ServiceClient(server.url)
             _wait_until(lambda: (
@@ -878,5 +813,6 @@ class TestStatsGauges:
             assert stats["attempts"]["retries"] >= 1
             assert stats["attempts"]["max_observed"] >= 2
             assert stats["attempts"]["max_attempts"] == 3
+            assert "lease_s" not in stats["attempts"]
             assert stats["queue"]["max_queue"] is None
             assert math.isfinite(stats["queue"]["oldest_age_s"])
