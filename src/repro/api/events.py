@@ -46,6 +46,7 @@ attributable per target.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections.abc import Callable, Iterable
 from typing import ClassVar
 
@@ -79,11 +80,18 @@ class AnalysisEvent:
         An empty ``backend`` tag is omitted: single-target campaigns
         never stamp one, and dropping the empty field keeps their
         JSON stream byte-identical to the pre-fan-out format.
+
+        The dict is shallow — field values are shared, not copied.
+        Every field is a scalar, a tuple or a plain JSON dict, so it
+        dumps to the same bytes as ``dataclasses.asdict`` would, at a
+        fraction of the cost (a job appends ~46 events).
         """
-        data = dataclasses.asdict(self)
+        data = {"event": self.kind}
+        for name in _field_names(type(self)):
+            data[name] = getattr(self, name)
         if data.get("backend", None) == "":
             del data["backend"]
-        return {"event": self.kind, **data}
+        return data
 
     def legacy_line(self) -> "str | None":
         """The pre-event progress string, or ``None`` for events the
@@ -464,6 +472,12 @@ class CrossValidationReady(AnalysisEvent):
     report: dict
     app: str = ""
     backend: str = ""
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """An event class's field names, in declaration order."""
+    return tuple(field.name for field in dataclasses.fields(cls))
 
 
 # -- the server envelope -----------------------------------------------------

@@ -403,11 +403,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             restore_sigint()
         print(render_cross_validation(report))
         if args.report:
-            from pathlib import Path
+            from repro.server import encode_report
 
-            Path(args.report).write_text(
-                json.dumps(report.to_dict(), indent=1)
-            )
+            Path(args.report).write_text(encode_report(report))
             print(f"report saved to {args.report}")
         _save_output(session, args)
     if report.soundness_violations():

@@ -19,7 +19,8 @@ The pieces, bottom up:
   mode (a hung run is bounded by its own timeout — the spec's
   ``probe_timeout`` or the backend's — not by the server);
 * :mod:`~repro.server.handlers` — the HTTP surface, including the
-  long-polling ``/jobs/<id>/events`` replay;
+  long-polling ``/jobs/<id>/events`` replay and the ``/jobs/<id>?wait=``
+  long-poll that returns a job's meta once it is terminal;
 * :mod:`~repro.server.app` — :class:`CampaignServer`, composing the
   above behind one lifecycle;
 * :mod:`~repro.server.client` — the urllib client the CLI

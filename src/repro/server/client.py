@@ -22,14 +22,21 @@ their transport errors propagate as the usual
 raises :class:`~repro.errors.ServiceUnavailableError` with the
 attempt count and final error.
 
-Tailing is a small protocol on top of ``GET /jobs/<id>/events``:
-:meth:`tail` repeatedly long-polls with the returned
-``X-Loupe-Next-Since`` cursor, yielding raw event lines as they land,
-and stops once the stream is drained *and* the job's status
-(``X-Loupe-Job-Status``) is terminal. The yielded lines are the
-job's ``events.jsonl`` bytes, envelope and all — callers that want
-the CLI's ``--events jsonl`` stream back verbatim pop the
-``schema_version`` key and re-dump.
+Two ways to follow a job, for two needs:
+
+* :meth:`wait` when only the outcome matters: it long-polls ``GET
+  /jobs/<id>?wait=S``, which returns the job's meta once the job is
+  terminal. It never downloads an event line, and the server wakes it
+  only on lifecycle transitions — the cheap way to run a job to the
+  end and then fetch its report.
+* :meth:`tail` when the progress matters: it long-polls ``GET
+  /jobs/<id>/events`` with the returned ``X-Loupe-Next-Since`` cursor,
+  yielding raw event lines as they land, and stops once the stream is
+  drained *and* the job's status (``X-Loupe-Job-Status``) is terminal.
+  The yielded lines are the job's ``events.jsonl`` bytes, envelope and
+  all — callers that want the CLI's ``--events jsonl`` stream back
+  verbatim pop the ``schema_version`` key and re-dump. ``loupe tail``
+  is built on it.
 """
 
 from __future__ import annotations
@@ -45,8 +52,8 @@ from pathlib import Path
 from repro.errors import LoupeError, ServiceUnavailableError
 from repro.server.jobstore import TERMINAL_STATES
 
-#: Default long-poll hold per tail round trip, chosen under the
-#: server's MAX_POLL_TIMEOUT_S cap.
+#: Default long-poll hold per wait or tail round trip, chosen under
+#: the server's MAX_POLL_TIMEOUT_S cap.
 DEFAULT_POLL_S = 20.0
 
 #: Default transient-error retry budget for idempotent GETs (total
@@ -206,19 +213,33 @@ class ServiceClient:
                 return
 
     def wait(self, job_id: str, *, poll: float = DEFAULT_POLL_S) -> dict:
-        """Block until the job is terminal; returns its final meta."""
-        since = 0
+        """Block until the job is terminal; returns its final meta.
+
+        One ``GET /jobs/<id>?wait=poll`` per round trip; the event
+        stream is never read (use :meth:`tail` for that).
+        """
+        query = urllib.parse.urlencode({"wait": poll})
         while True:
-            _lines, since, status = self.events(
-                job_id, since=since, timeout=poll
+            meta = self._json(
+                "GET", f"/jobs/{job_id}?{query}",
+                read_timeout=self.timeout + poll,
             )
-            if status in TERMINAL_STATES:
-                return self.job(job_id)
+            if meta["status"] in TERMINAL_STATES:
+                return meta
 
     # -- transport -----------------------------------------------------------
 
-    def _json(self, method: str, path: str, *, body: "dict | None" = None):
-        _status, _headers, raw = self._request(method, path, body=body)
+    def _json(
+        self,
+        method: str,
+        path: str,
+        *,
+        body: "dict | None" = None,
+        read_timeout: "float | None" = None,
+    ):
+        _status, _headers, raw = self._request(
+            method, path, body=body, read_timeout=read_timeout
+        )
         return json.loads(raw)
 
     def _request(

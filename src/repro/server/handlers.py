@@ -9,6 +9,7 @@ Method     Path                            Meaning
 ``POST``   ``/jobs``                       submit a campaign spec, get a job id
 ``GET``    ``/jobs``                       list job metas (``?state=`` filters)
 ``GET``    ``/jobs/<id>``                  one job's meta
+``GET``    ``/jobs/<id>?wait=S``           long-poll the meta until terminal
 ``GET``    ``/jobs/<id>/events``           replay/long-poll the event stream
 ``GET``    ``/jobs/<id>/report``           the finished job's report.json
 ``POST``   ``/jobs/<id>/cancel``           cooperative cancellation
@@ -30,10 +31,18 @@ response headers carrying the tailing cursor:
 ``?since=N`` skips the first N lines; ``?timeout=S`` long-polls: the
 reply is held up to S seconds waiting for fresh lines (returning
 early the moment one lands, or immediately if the job is terminal).
-Both are validated like the spec validator validates specs — negative
-or non-finite values are a 400 with details, not a silent pass into
-the wait loop; timeouts beyond :data:`MAX_POLL_TIMEOUT_S` are clamped
-(long tails are built from repeated polls, not one huge one).
+
+``GET /jobs/<id>?wait=S`` is the wait that skips the event stream: the
+reply is the job's meta, held up to S seconds until the job is
+terminal. Only lifecycle transitions wake it, so a client that wants
+the outcome and not the progress pays one request per S seconds, not
+one per event batch.
+
+Both hold times and ``since`` are validated like the spec validator
+validates specs — negative or non-finite values are a 400 with
+details, not a silent pass into the wait loop; hold times beyond
+:data:`MAX_POLL_TIMEOUT_S` are clamped (long waits are built from
+repeated polls, not one huge one).
 
 Admission control speaks in status codes: a full queue is ``429``
 with a ``Retry-After`` header (seconds, advisory), a draining server
@@ -112,7 +121,9 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             elif parts == ["jobs"]:
                 self._send_jobs(query)
             elif len(parts) == 2 and parts[0] == "jobs":
-                meta = self.server.campaign.store.meta(parts[1])
+                meta = self.server.campaign.store.wait_for_meta(
+                    parts[1], _hold_param(query, "wait")
+                )
                 self._send_json(200, meta.to_dict())
             elif len(parts) == 3 and parts[:1] == ["jobs"] \
                     and parts[2] == "events":
@@ -185,16 +196,7 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             raise ValueError(
                 f"query parameter 'since' must be >= 0, got {since}"
             )
-        timeout = _float_param(query, "timeout", 0.0)
-        if not math.isfinite(timeout) or timeout < 0:
-            # min() would happily return nan, and a negative wait is a
-            # confused client — both are 400s with the same tone as
-            # the spec validator, not silent passes into the poll.
-            raise ValueError(
-                f"query parameter 'timeout' must be a finite number "
-                f">= 0, got {timeout!r}"
-            )
-        timeout = min(timeout, MAX_POLL_TIMEOUT_S)
+        timeout = _hold_param(query, "timeout")
         lines, next_since, status = (
             self.server.campaign.store.wait_for_events(job_id, since, timeout)
         )
@@ -269,11 +271,22 @@ def _int_param(query: dict, name: str, default: int) -> int:
         raise ValueError(f"query parameter {name!r} must be an integer")
 
 
-def _float_param(query: dict, name: str, default: float) -> float:
+def _hold_param(query: dict, name: str) -> float:
+    """A long-poll hold time in seconds: 0 when absent, clamped to
+    :data:`MAX_POLL_TIMEOUT_S`."""
     values = query.get(name)
     if not values:
-        return default
+        return 0.0
     try:
-        return float(values[-1])
+        seconds = float(values[-1])
     except ValueError:
         raise ValueError(f"query parameter {name!r} must be a number")
+    if not math.isfinite(seconds) or seconds < 0:
+        # min() would happily return nan, and a negative wait is a
+        # confused client — both are 400s with the same tone as the
+        # spec validator, not silent passes into the poll.
+        raise ValueError(
+            f"query parameter {name!r} must be a finite number "
+            f">= 0, got {seconds!r}"
+        )
+    return min(seconds, MAX_POLL_TIMEOUT_S)

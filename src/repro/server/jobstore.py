@@ -69,6 +69,7 @@ import json
 import os
 import threading
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 from repro.api.events import SCHEMA_VERSION
@@ -312,18 +313,20 @@ def _marker_line(fields: dict) -> str:
 
 
 def encode_report(outcome: object) -> str:
-    """The canonical ``report.json`` serialization.
+    """The canonical ``report.json`` serialization: compact JSON with
+    sorted keys and one trailing newline.
 
-    One definition shared by the job runner and the tests, so "the
-    server's report is byte-identical to a direct
-    :meth:`LoupeSession.analyze` run" is checkable with ``cmp``:
-    serialize the direct outcome with this same function and compare
-    bytes. Works for both job outcome shapes —
-    :class:`~repro.core.result.AnalysisResult` and
+    One definition shared by the job runner, ``loupe compare
+    --report`` and the tests, so "the server's report is
+    byte-identical to a direct :meth:`LoupeSession.analyze` run" is
+    checkable with ``cmp``: serialize the direct outcome with this
+    same function and compare bytes. Works for both job outcome
+    shapes — :class:`~repro.core.result.AnalysisResult` and
     :class:`~repro.report.CrossValidationReport` (multi-backend
-    specs) — via their ``to_dict``.
+    specs) — via their ``to_dict``. Compact, because pretty-printing
+    would push ``json`` off its C encoder onto the pure-Python one.
     """
-    return json.dumps(outcome.to_dict(), indent=1, sort_keys=True) + "\n"
+    return json.dumps(outcome.to_dict(), sort_keys=True) + "\n"
 
 
 class JobStore:
@@ -343,7 +346,13 @@ class JobStore:
         self.jobs_dir = self.data_dir / "jobs"
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._conditions: dict[str, threading.Condition] = {}
+        #: Per-job conditions, created by the first waiter and released
+        #: on the job's terminal transition. Event tails sleep on
+        #: ``_event_conditions``, which every append and transition
+        #: notifies; status waiters sleep on ``_status_conditions``,
+        #: which only transitions notify.
+        self._event_conditions: dict[str, threading.Condition] = {}
+        self._status_conditions: dict[str, threading.Condition] = {}
         self._next_seq = 1 + max(
             (
                 int(path.name.split("-")[-1])
@@ -388,7 +397,7 @@ class JobStore:
                 created_at=time.time(),
             )
             self.spec_path(job_id).write_text(
-                json.dumps(spec.to_dict(), indent=1, sort_keys=True) + "\n"
+                json.dumps(spec.to_dict(), sort_keys=True) + "\n"
             )
             self._write_meta(meta)
         return meta
@@ -529,20 +538,28 @@ class JobStore:
                 updates["finished_at"] = now
             meta = dataclasses.replace(meta, **updates)
             if marker is not None:
-                # Not through event_log: its wakeup takes the store
-                # lock, held here; the _notify below wakes the tails.
+                # Written here, under the store lock, so it lands
+                # before the new status; the notify below wakes the
+                # tails.
                 with open(self.events_path(job_id), "a") as handle:
                     handle.write(_marker_line(marker))
             self._write_meta(meta)
-        self._notify(job_id)
+            # Taken with the write, under the lock: a waiter that read
+            # the old status made its condition before this (making
+            # one takes the lock), and no waiter can release one
+            # before it reads the new status.
+            waiters = self._take_conditions(
+                job_id, release=status in TERMINAL_STATES
+            )
+        for condition in waiters:
+            with condition:
+                condition.notify_all()
         return meta
 
     def _write_meta(self, meta: JobMeta) -> None:
         path = self.meta_path(meta.id)
         temp = path.with_suffix(".json.tmp")
-        temp.write_text(
-            json.dumps(meta.to_dict(), indent=1, sort_keys=True) + "\n"
-        )
+        temp.write_text(json.dumps(meta.to_dict(), sort_keys=True) + "\n")
         os.replace(temp, path)
 
     # -- the event log -------------------------------------------------------
@@ -552,21 +569,26 @@ class JobStore:
         """Hold the job's event log open; yield ``append(line)``.
 
         Each call writes and flushes one whole envelope-wrapped line
-        and wakes waiters. The handle is ``O_APPEND`` and no lock is
-        held: a job has one writer, and a marker another thread
-        appends meanwhile is its own whole-line write. A crashed
-        server tears at most the final line, and readers only surface
-        newline-terminated lines.
+        and wakes the job's event tails, if any wait. The handle is
+        ``O_APPEND`` and no lock is held: a job has one writer, and a
+        marker another thread appends meanwhile is its own whole-line
+        write. A crashed server tears at most the final line, and
+        readers only surface newline-terminated lines.
         """
-        condition = self._condition(job_id)
+        tails = self._event_conditions
         with open(self.events_path(job_id), "a") as handle:
             def append(line: str) -> None:
                 if not line.endswith("\n"):
                     line += "\n"
                 handle.write(line)
                 handle.flush()
-                with condition:
-                    condition.notify_all()
+                # No condition means no tail was waiting when the line
+                # landed: one that makes its condition later reads the
+                # log after that, so it sees the line.
+                condition = tails.get(job_id)
+                if condition is not None:
+                    with condition:
+                        condition.notify_all()
 
             yield append
 
@@ -620,31 +642,82 @@ class JobStore:
         job is terminal (a terminal job will never emit again — there
         is nothing to wait for).
         """
-        deadline = time.monotonic() + max(timeout, 0.0)
-        condition = self._condition(job_id)
-        while True:
+        def read() -> tuple:
             lines, next_since = self.read_events(job_id, since)
             status = self.meta(job_id).status
-            remaining = deadline - time.monotonic()
-            if lines or status in TERMINAL_STATES or remaining <= 0:
-                return lines, next_since, status
-            with condition:
-                # Bounded wait: an append between the read above and
-                # this wait would be missed by pure signalling; the cap
-                # turns that race into at most half a second of delay.
-                condition.wait(min(remaining, 0.5))
+            return (lines, next_since, status), status, bool(lines)
 
-    def _condition(self, job_id: str) -> threading.Condition:
+        return self._long_poll(self._event_conditions, job_id, timeout, read)
+
+    def wait_for_meta(self, job_id: str, timeout: float) -> JobMeta:
+        """Long-poll: block up to *timeout* seconds for the job to turn
+        terminal; return its meta, terminal or as it stands when the
+        time runs out. Only lifecycle transitions wake this wait, never
+        event appends."""
+        def read() -> tuple:
+            meta = self.meta(job_id)
+            return meta, meta.status, False
+
+        return self._long_poll(self._status_conditions, job_id, timeout, read)
+
+    def _long_poll(
+        self,
+        table: "dict[str, threading.Condition]",
+        job_id: str,
+        timeout: float,
+        read: "Callable[[], tuple]",
+    ):
+        """Call ``read() -> (value, status, ready)`` until *ready*, the
+        job is terminal, or *timeout* seconds pass; return the last
+        *value*.
+
+        After a first read that finds nothing, every read happens
+        while holding the job's condition in *table*, and notifiers
+        take that condition after their write, so a write that lands
+        between a read and the wait still wakes it.
+        """
+        value, status, ready = read()
+        if ready or status in TERMINAL_STATES or timeout <= 0:
+            return value
+        deadline = time.monotonic() + timeout
+        condition = self._condition(table, job_id)
+        with condition:
+            while True:
+                value, status, ready = read()
+                remaining = deadline - time.monotonic()
+                if ready or status in TERMINAL_STATES or remaining <= 0:
+                    break
+                condition.wait(remaining)
+        if status in TERMINAL_STATES:
+            # A waiter that made its condition after the terminal
+            # transition released the job's conditions drops it here.
+            with self._lock:
+                self._take_conditions(job_id, release=True)
+        return value
+
+    def _condition(
+        self, table: "dict[str, threading.Condition]", job_id: str
+    ) -> threading.Condition:
         with self._lock:
-            condition = self._conditions.get(job_id)
+            condition = table.get(job_id)
             if condition is None:
-                condition = self._conditions[job_id] = threading.Condition()
+                condition = table[job_id] = threading.Condition()
             return condition
 
-    def _notify(self, job_id: str) -> None:
-        condition = self._condition(job_id)
-        with condition:
-            condition.notify_all()
+    def _take_conditions(
+        self, job_id: str, *, release: bool
+    ) -> list[threading.Condition]:
+        """The job's conditions, for a transition to notify; with
+        *release* (a terminal transition) they also leave the tables,
+        since nothing waits on a finished job: a late waiter reads the
+        terminal status and returns. The caller holds the store
+        lock."""
+        take = dict.pop if release else dict.get
+        return [
+            condition
+            for table in (self._event_conditions, self._status_conditions)
+            if (condition := take(table, job_id, None)) is not None
+        ]
 
     # -- crash recovery ------------------------------------------------------
 

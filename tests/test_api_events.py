@@ -1,20 +1,32 @@
 """Tests for the typed analysis event stream and its legacy adapter."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.api.events import (
+    SCHEMA_VERSION,
+    AnalysisCancelled,
     AnalysisEvent,
     AnalysisFinished,
     AnalysisStarted,
     BaselineStarted,
     CombinedRunFinished,
     ConflictBisected,
+    CrossValidationReady,
     EngineStatsEvent,
+    FaultsSummary,
     FeatureProbed,
     FeaturesEnumerated,
+    PoolRecovered,
+    ProbeFaulted,
+    ProbeRetry,
+    StoreStatsEvent,
+    TargetFinished,
+    TargetStarted,
     combine_callbacks,
+    envelope,
     legacy_adapter,
     render_legacy,
 )
@@ -340,3 +352,96 @@ class TestEnvelope:
         assert document["event"] == "analysis_cancelled"
         assert document["reason"] == "signal"
         assert event.legacy_line() == "analysis cancelled after 1.50s"
+
+
+def _every_event_class(base=AnalysisEvent):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _every_event_class(cls)
+
+
+def _asdict_form(event):
+    """The ``dataclasses.asdict``-based JSON form ``to_dict`` replaced:
+    a deep copy, with the empty-``backend`` and zero-``faulted``
+    omissions."""
+    data = dataclasses.asdict(event)
+    if data.get("backend", None) == "":
+        del data["backend"]
+    if isinstance(event, EngineStatsEvent) and data.get("faulted", 0) == 0:
+        data.pop("faulted", None)
+    return {"event": event.kind, **data}
+
+
+_FAULT = {"kind": "timeout", "probe": "getpid=stub", "replica": 0,
+          "attempts": 2, "detail": "timed out after 0.2s"}
+
+#: At least one instance of every concrete event, each field set to a
+#: value of its kind: scalars, tuples, plain dicts, and both sides of
+#: the ``backend``/``faulted`` omissions.
+_SAMPLES = (
+    AnalysisStarted(app="redis", workload="bench", backend="", replicas=3),
+    AnalysisStarted(app="redis", workload="bench", backend="appsim",
+                    replicas=3),
+    BaselineStarted(replicas=3, app="redis"),
+    FeaturesEnumerated(count=2, features=("read", "write"), app="redis",
+                       backend="ptrace"),
+    FeatureProbed(feature="getpid", can_stub=True, can_fake=False,
+                  traced_count=7, app="redis"),
+    CombinedRunFinished(ok=False, avoided=4, round=2, app="redis"),
+    ConflictBisected(round=1, conflict=("mremap", "mmap"), app="redis"),
+    ProbeRetry(workload="bench", probe="getpid=stub", replica=1, attempt=1,
+               fault="timeout", detail="slow", app="redis"),
+    ProbeFaulted(workload="bench", probe="getpid=stub", replica=1,
+                 fault="timeout", attempts=2, app="redis", backend="appsim"),
+    PoolRecovered(lost_runs=3, rebuilds=2, app="redis"),
+    FaultsSummary(total=1, kinds={"timeout": 1}, faults=(_FAULT,),
+                  app="redis"),
+    EngineStatsEvent(runs_requested=10, runs_executed=8, cache_hits=2,
+                     replicas_skipped=0, app="redis"),
+    EngineStatsEvent(runs_requested=10, runs_executed=7, cache_hits=2,
+                     replicas_skipped=0, app="redis", persistent_hits=1,
+                     executor="process", backend="appsim", faulted=1),
+    StoreStatsEvent(store="sqlite", path="runs.sqlite", entries=5,
+                    loaded_records=5, file_bytes=4096, max_entries=None,
+                    app="redis"),
+    StoreStatsEvent(store="jsonl", path="runs.jsonl", entries=5,
+                    stale_records=2, max_entries=100, evictions=1,
+                    app="redis", backend="appsim"),
+    AnalysisFinished(duration_s=1.25, app="redis"),
+    AnalysisCancelled(duration_s=0.5, reason="signal", app="redis"),
+    TargetStarted(backend="appsim", index=0, total=2, app="redis"),
+    TargetFinished(backend="static", ok=True, duration_s=0.01, app="redis"),
+    CrossValidationReady(
+        report={"targets": ["appsim", "static"],
+                "divergences": [{"syscall": "read", "kinds": {"a": 1}}]},
+        app="redis",
+    ),
+)
+
+
+class TestShallowToDict:
+    def test_samples_cover_every_concrete_event(self):
+        assert {type(event) for event in _SAMPLES} == set(
+            _every_event_class()
+        )
+
+    @pytest.mark.parametrize(
+        "event", _SAMPLES, ids=lambda event: type(event).__name__
+    )
+    def test_json_bytes_match_the_asdict_form(self, event):
+        assert json.dumps(event.to_dict()) == json.dumps(_asdict_form(event))
+        assert json.dumps(envelope(event)) == json.dumps(
+            {"schema_version": SCHEMA_VERSION, **_asdict_form(event)}
+        )
+
+    def test_omissions_hold(self):
+        untagged = EngineStatsEvent(
+            runs_requested=1, runs_executed=1, cache_hits=0,
+            replicas_skipped=0, app="redis",
+        ).to_dict()
+        assert "backend" not in untagged and "faulted" not in untagged
+        tagged = dataclasses.replace(
+            _SAMPLES[0], backend="appsim"
+        ).to_dict()
+        assert tagged["backend"] == "appsim"
+        assert list(tagged)[0] == "event"

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -384,6 +385,237 @@ class TestEventStreaming:
         lines, _, _ = client.events(meta["id"])
         on_disk = server.store.events_path(meta["id"]).read_text()
         assert "".join(lines) == on_disk
+
+
+class TestLongPollWakeups:
+    """A write that lands between a long-poll's first read and its wait
+    must wake it at once, and finished jobs keep no conditions."""
+
+    def _running_job(self, tmp_path):
+        store = JobStore(tmp_path / "store")
+        meta = store.new_job(JobSpec.from_dict(QUICK_SPEC))
+        store.transition(meta.id, RUNNING, owner="worker")
+        return store, meta.id
+
+    def _after_first_call(self, store, name, action):
+        """Run *action* on another thread right after the first call
+        of ``store.<name>`` returns, and wait for it."""
+        original = getattr(store, name)
+        calls = []
+
+        def patched(*args, **kwargs):
+            result = original(*args, **kwargs)
+            if not calls:
+                calls.append(name)
+                thread = threading.Thread(target=action)
+                thread.start()
+                thread.join(timeout=DEADLINE_S)
+                assert not thread.is_alive()
+            return result
+
+        setattr(store, name, patched)
+
+    def test_append_after_the_first_read_wakes_the_events_poll(
+        self, tmp_path
+    ):
+        store, job_id = self._running_job(tmp_path)
+        self._after_first_call(
+            store, "read_events",
+            lambda: store.append_event(job_id, '{"event": "late"}'),
+        )
+        started = time.monotonic()
+        lines, next_since, status = store.wait_for_events(job_id, 0, 5.0)
+        assert time.monotonic() - started < 0.25
+        assert lines == ['{"event": "late"}\n']
+        assert (next_since, status) == (1, RUNNING)
+
+    def test_transition_after_the_first_read_wakes_the_meta_wait(
+        self, tmp_path
+    ):
+        store, job_id = self._running_job(tmp_path)
+        self._after_first_call(
+            store, "meta",
+            lambda: store.transition(job_id, DONE, owner="worker"),
+        )
+        started = time.monotonic()
+        meta = store.wait_for_meta(job_id, 5.0)
+        assert time.monotonic() - started < 0.25
+        assert meta.status == DONE
+        # The waiter made its condition after the terminal transition
+        # released the job's; it drops that one itself.
+        assert store._event_conditions == {}
+        assert store._status_conditions == {}
+
+    def test_finished_jobs_release_their_conditions(
+        self, tmp_path, slow_backend_name
+    ):
+        with CampaignServer(tmp_path / "svc", workers=1) as server:
+            store = server.store
+            client = ServiceClient(server.url)
+            # The slow job holds the one worker, so the rest stay
+            # queued while waiters park on them.
+            slow = client.submit(SLOW_SPEC)["id"]
+            ids = [client.submit(QUICK_SPEC)["id"] for _ in range(4)]
+            # Waits that run out before their job ends leave conditions
+            # that only the terminal transition can release: no later
+            # waiter on the last job drops them on its way out.
+            assert client._json(
+                "GET", f"/jobs/{ids[-1]}?wait=0.05"
+            )["status"] == QUEUED
+            assert client.events(ids[-1], timeout=0.05)[2] == QUEUED
+            assert ids[-1] in store._status_conditions
+            assert ids[-1] in store._event_conditions
+            followers = [
+                threading.Thread(target=follow, args=(job_id,))
+                for job_id in [slow, *ids[:-1]]
+                for follow in (client.wait, lambda job_id: list(
+                    client.tail(job_id)
+                ))
+            ]
+            for thread in followers:
+                thread.start()
+            client.cancel(slow)
+            for thread in followers:
+                thread.join(timeout=DEADLINE_S)
+            _wait_until(lambda: client.job(ids[-1])["status"] == DONE)
+            assert client.job(slow)["status"] == CANCELLED
+            assert [client.job(job_id)["status"] for job_id in ids] == [
+                DONE
+            ] * 4
+            assert store._event_conditions == {}
+            assert store._status_conditions == {}
+            # A late waiter on a finished job returns at once and
+            # leaves nothing behind.
+            assert client.wait(ids[0])["status"] == DONE
+            assert store._status_conditions == {}
+
+
+    def test_stress_many_waiters_on_racing_transitions(self, tmp_path):
+        """Many status waiters and event tails on jobs whose lines and
+        transitions land meanwhile, with a short switch interval: every
+        one returns on its job's outcome, not on its timeout, and no
+        condition outlives its job."""
+        store = JobStore(tmp_path / "store")
+        ids = [
+            store.new_job(JobSpec.from_dict(QUICK_SPEC)).id
+            for _ in range(8)
+        ]
+        outcomes: dict = {}
+
+        def wait(job_id, slot):
+            outcomes[slot] = store.wait_for_meta(job_id, 10.0).status
+
+        def tail(job_id, slot):
+            since, lines = 0, []
+            while True:
+                fresh, since, status = store.wait_for_events(
+                    job_id, since, 10.0
+                )
+                lines += fresh
+                if status in TERMINAL_STATES and not fresh:
+                    outcomes[slot] = (status, len(lines))
+                    return
+
+        def drive():
+            for job_id in ids:
+                store.transition(job_id, RUNNING, owner="worker")
+                with store.event_log(job_id) as append:
+                    for index in range(3):
+                        append(json.dumps({"event": "step", "index": index}))
+                store.transition(job_id, DONE, owner="worker")
+
+        threads = [
+            threading.Thread(target=target, args=(job_id, (name, job_id, n)))
+            for job_id in ids
+            for name, target in (("wait", wait), ("tail", tail))
+            for n in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            started = time.monotonic()
+            for thread in threads:
+                thread.start()
+            driver = threading.Thread(target=drive)
+            driver.start()
+            for thread in [driver, *threads]:
+                thread.join(timeout=20.0)
+            elapsed = time.monotonic() - started
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in [driver, *threads])
+        assert elapsed < 5.0
+        assert len(outcomes) == len(threads)
+        for (name, _job, _n), outcome in outcomes.items():
+            assert outcome == (DONE if name == "wait" else (DONE, 3))
+        assert store._event_conditions == {}
+        assert store._status_conditions == {}
+
+
+class TestMetaWait:
+    """``GET /jobs/<id>?wait=S`` — the wait that skips the event
+    stream."""
+
+    def test_returns_the_terminal_meta(self, client):
+        meta = client.submit(QUICK_SPEC)
+        final = client._json("GET", f"/jobs/{meta['id']}?wait=20")
+        assert final["status"] == DONE
+        assert final["finished_at"] is not None
+
+    def test_returns_the_current_meta_when_the_wait_runs_out(
+        self, client, slow_backend_name
+    ):
+        meta = client.submit(SLOW_SPEC)
+        started = time.monotonic()
+        current = client._json("GET", f"/jobs/{meta['id']}?wait=0.3")
+        assert time.monotonic() - started >= 0.25
+        assert current["status"] in (QUEUED, RUNNING)
+        client.cancel(meta["id"])
+
+    @pytest.mark.parametrize("wait", ["-1", "-0.5", "nan", "inf", "soon"])
+    def test_bad_wait_is_400(self, client, wait):
+        meta = client.submit(QUICK_SPEC)
+        with pytest.raises(ServiceError) as caught:
+            client._json("GET", f"/jobs/{meta['id']}?wait={wait}")
+        assert caught.value.status == 400
+        assert "wait" in caught.value.message
+
+    def test_wait_is_clamped(self, client, slow_backend_name, monkeypatch):
+        from repro.server import handlers
+
+        monkeypatch.setattr(handlers, "MAX_POLL_TIMEOUT_S", 0.2)
+        meta = client.submit(SLOW_SPEC)
+        started = time.monotonic()
+        current = client._json("GET", f"/jobs/{meta['id']}?wait=1e9")
+        assert time.monotonic() - started < 5.0
+        assert current["status"] in (QUEUED, RUNNING)
+        client.cancel(meta["id"])
+
+    def test_unknown_job_is_404(self, client):
+        with pytest.raises(ServiceError) as caught:
+            client._json("GET", "/jobs/job-999999?wait=5")
+        assert caught.value.status == 404
+
+    def test_client_wait_never_reads_the_event_stream(
+        self, client, monkeypatch
+    ):
+        def no_events(*args, **kwargs):
+            raise AssertionError("wait read the event stream")
+
+        paths = []
+        request = client._request
+
+        def recording(method, path, **kwargs):
+            paths.append(path)
+            return request(method, path, **kwargs)
+
+        monkeypatch.setattr(client, "events", no_events)
+        monkeypatch.setattr(client, "_request", recording)
+        meta = client.submit(QUICK_SPEC)
+        final = client.wait(meta["id"])
+        assert final["status"] == DONE
+        assert final["engine_stats"]["runs_requested"] > 0
+        assert not any("/events" in path for path in paths)
 
 
 def _normalize_durations(line):
