@@ -31,6 +31,10 @@ executors and both cache tiers:
 * **compaction** — ``compact()`` on a duplicate-heavy JSONL cache
   must reclaim the superseded bulk while preserving every live key
   (the ratio lands in the JSON as ``compaction.ratio``).
+* **timed campaign** — a probe timeout that never fires must cost at
+  most 2x an untimed serial campaign, with byte-identical reports:
+  a timed run stops at its deadline on the caller's thread, so no
+  per-run thread may come back (``timed_campaign.timed_over_untimed``).
 
 Every test records its numbers into ``BENCH_parallel_engine.json``
 (wall-clock per executor, cache hit rates) so CI can archive the perf
@@ -130,7 +134,7 @@ class _GilBoundBackend:
 def _analyze_corpus(
     apps, workload_name, *,
     parallel, cache, early_exit,
-    executor="auto", wrap=None,
+    executor="auto", wrap=None, probe_timeout_s=None,
 ):
     """Analyze every app with fresh (optionally wrapped) backends;
     returns (results, summed stats, the set of executors the backends'
@@ -139,7 +143,7 @@ def _analyze_corpus(
     def one(app):
         analyzer = Analyzer(AnalyzerConfig(
             parallel=parallel, cache=cache, early_exit=early_exit,
-            executor=executor,
+            executor=executor, probe_timeout_s=probe_timeout_s,
         ))
         backend = app.backend() if wrap is None else wrap(app.backend())
         result = analyzer.analyze(
@@ -237,6 +241,47 @@ def test_auto_serial_on_raw_appsim(seven_app_set):
     assert _digest(auto_results) == _digest(serial_results)
     assert modes == {"serial"}, modes
     assert auto_stats == serial_stats
+
+
+def test_timed_campaign_costs_no_thread(seven_app_set):
+    """A probe timeout that never fires must cost about what the
+    retry bookkeeping costs, not a thread per run: timed over untimed
+    stays <= 2x on serial raw appsim, with byte-identical reports."""
+    apps = _reduced(seven_app_set)
+
+    def campaign(probe_timeout_s):
+        started = time.perf_counter()
+        results, stats, _ = _analyze_corpus(
+            apps, "bench", parallel=1, cache=True, early_exit=True,
+            executor="serial", probe_timeout_s=probe_timeout_s,
+        )
+        return time.perf_counter() - started, results, stats
+
+    # Interleaved best-of-three: a single pass is ~0.1 s on this corpus.
+    pairs = [(campaign(None), campaign(30.0)) for _ in range(3)]
+    untimed_s, untimed_results, stats = min(
+        (untimed for untimed, _ in pairs), key=lambda run: run[0]
+    )
+    timed_s, timed_results, _ = min(
+        (timed for _, timed in pairs), key=lambda run: run[0]
+    )
+    ratio = timed_s / untimed_s
+
+    print(f"\n=== Timed campaign: {len(apps)}-app corpus, serial raw "
+          f"appsim, {stats.runs_executed} runs ===")
+    print(f"untimed              : {untimed_s:6.3f}s")
+    print(f"probe_timeout_s=30   : {timed_s:6.3f}s")
+    print(f"timed-over-untimed   : {ratio:.2f}x")
+
+    _RESULTS["timed_campaign"] = {
+        "apps": len(apps),
+        "runs_executed": stats.runs_executed,
+        "untimed_s": round(untimed_s, 3),
+        "timed_s": round(timed_s, 3),
+        "timed_over_untimed": round(ratio, 2),
+    }
+    assert _digest(timed_results) == _digest(untimed_results)
+    assert ratio <= 2.0, f"a never-firing timeout costs {ratio:.2f}x"
 
 
 @pytest.mark.parametrize("store_kind", ["jsonl", "sqlite"])

@@ -3,8 +3,7 @@
 * :mod:`repro.api.session` — :class:`LoupeSession` /
   :class:`AnalysisRequest`: campaign state (database, config,
   concurrency) and the analyze/plan/query entry points.
-* :mod:`repro.api.events` — the typed progress-event stream that
-  replaced the string callback, plus the legacy string adapter.
+* :mod:`repro.api.events` — the typed progress-event stream.
 * :mod:`repro.api.registry` — the pluggable execution-backend
   registry (``appsim`` and ``ptrace`` self-register).
 
@@ -36,8 +35,6 @@ _EXPORTS = {
     "TargetFinished": "repro.api.events",
     "TargetStarted": "repro.api.events",
     "combine_callbacks": "repro.api.events",
-    "legacy_adapter": "repro.api.events",
-    "render_legacy": "repro.api.events",
     # registry
     "BackendRegistryError": "repro.api.registry",
     "BackendResolutionError": "repro.api.registry",
@@ -85,8 +82,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         TargetFinished,
         TargetStarted,
         combine_callbacks,
-        legacy_adapter,
-        render_legacy,
     )
     from repro.api.registry import (
         BackendRegistryError,

@@ -30,10 +30,7 @@ event                     milestone
 ========================  ====================================================
 
 Every event serializes with :meth:`AnalysisEvent.to_dict` (one JSON
-object per event — the CLI's ``--events jsonl`` stream) and renders
-back to the exact legacy progress string with
-:meth:`AnalysisEvent.legacy_line`, so :func:`legacy_adapter` keeps
-every pre-event caller (and the CLI output) byte-identical.
+object per event — the CLI's ``--events jsonl`` stream).
 
 Every event additionally carries a ``backend`` field. In a
 single-target campaign it stays empty (and is omitted from the JSON
@@ -47,7 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from typing import ClassVar
 
 from repro.core.cachestore import StoreStats
@@ -93,11 +90,6 @@ class AnalysisEvent:
             del data["backend"]
         return data
 
-    def legacy_line(self) -> "str | None":
-        """The pre-event progress string, or ``None`` for events the
-        string protocol never reported."""
-        return None
-
 
 @dataclasses.dataclass(frozen=True)
 class AnalysisStarted(AnalysisEvent):
@@ -121,9 +113,6 @@ class BaselineStarted(AnalysisEvent):
     app: str = ""
     backend: str = ""
 
-    def legacy_line(self) -> str:
-        return f"baseline: {self.replicas} passthrough replica(s)"
-
 
 @dataclasses.dataclass(frozen=True)
 class FeaturesEnumerated(AnalysisEvent):
@@ -135,9 +124,6 @@ class FeaturesEnumerated(AnalysisEvent):
     features: tuple[str, ...] = ()
     app: str = ""
     backend: str = ""
-
-    def legacy_line(self) -> str:
-        return f"tracing found {self.count} feature(s) to probe"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -152,13 +138,6 @@ class FeatureProbed(AnalysisEvent):
     traced_count: int = 0
     app: str = ""
     backend: str = ""
-
-    def legacy_line(self) -> str:
-        return (
-            f"probe {self.feature}: "
-            f"stub={'ok' if self.can_stub else 'no'} "
-            f"fake={'ok' if self.can_fake else 'no'}"
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,13 +156,6 @@ class CombinedRunFinished(AnalysisEvent):
     round: int
     app: str = ""
     backend: str = ""
-
-    def legacy_line(self) -> "str | None":
-        if self.ok:
-            if self.avoided == 0:
-                return None  # legacy code said nothing for a vacuous pass
-            return f"final combined run ok ({self.avoided} features avoided)"
-        return f"final combined run failed (round {self.round}); bisecting"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,8 +177,6 @@ class ProbeRetry(AnalysisEvent):
 
     ``attempt`` is the 1-based number of the attempt that faulted;
     ``fault`` its taxonomy kind (``timeout``/``backend-error``/...).
-    The legacy string protocol never reported retries, so
-    ``progress=`` transcripts are unchanged.
     """
 
     kind: ClassVar[str] = "probe_retry"
@@ -286,9 +256,9 @@ class EngineStatsEvent(AnalysisEvent):
     ``persistent_hits`` counts the subset of ``cache_hits`` answered
     from the on-disk cross-campaign run cache rather than this
     analysis's own LRU; ``executor`` names the resolved sharding
-    strategy (``serial``/``thread``/``process``). Both default to
-    their no-op values so pre-existing consumers (and the legacy
-    string transcript) are unaffected when the features are off.
+    strategy (``serial``/``process``). Both default to their no-op
+    values so pre-existing consumers are unaffected when the features
+    are off.
     """
 
     kind: ClassVar[str] = "engine_stats"
@@ -337,9 +307,6 @@ class EngineStatsEvent(AnalysisEvent):
             faulted=self.faulted,
         )
 
-    def legacy_line(self) -> str:
-        return f"engine: {self.stats().describe()}"
-
 
 @dataclasses.dataclass(frozen=True)
 class StoreStatsEvent(AnalysisEvent):
@@ -350,9 +317,7 @@ class StoreStatsEvent(AnalysisEvent):
     is the live record count, ``loaded_records``/``stale_records``
     the unique/superseded split found at open (stale is always 0 on
     SQLite, whose upsert replaces in place); ``evictions`` counts
-    LRU evictions under ``max_entries``. The legacy string protocol
-    never reported store state, so :meth:`legacy_line` stays ``None``
-    and ``progress=`` transcripts are unchanged.
+    LRU evictions under ``max_entries``.
     """
 
     kind: ClassVar[str] = "store_stats"
@@ -392,9 +357,6 @@ class AnalysisFinished(AnalysisEvent):
     app: str = ""
     backend: str = ""
 
-    def legacy_line(self) -> str:
-        return f"analysis finished in {self.duration_s:.2f}s"
-
 
 @dataclasses.dataclass(frozen=True)
 class AnalysisCancelled(AnalysisEvent):
@@ -416,9 +378,6 @@ class AnalysisCancelled(AnalysisEvent):
     reason: str = "cancelled"
     app: str = ""
     backend: str = ""
-
-    def legacy_line(self) -> str:
-        return f"analysis cancelled after {self.duration_s:.2f}s"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -506,22 +465,6 @@ def envelope(
 # -- adapters ----------------------------------------------------------------
 
 
-def legacy_adapter(progress: Callable[[str], None]) -> EventCallback:
-    """Wrap a legacy string callback as an event consumer.
-
-    Events that had a string form render to the byte-identical legacy
-    line; events the string protocol never reported are dropped, so a
-    legacy ``progress=`` caller sees exactly the pre-event output.
-    """
-
-    def emit(event: AnalysisEvent) -> None:
-        line = event.legacy_line()
-        if line is not None:
-            progress(line)
-
-    return emit
-
-
 def tag_app(emit: EventCallback, app: str) -> EventCallback:
     """Stamp *app* onto every event that lacks an identity.
 
@@ -558,16 +501,6 @@ def tag_backend(emit: EventCallback, backend: str) -> EventCallback:
         emit(event)
 
     return tagged
-
-
-def render_legacy(events: Iterable[AnalysisEvent]) -> list[str]:
-    """The legacy progress transcript of an event stream."""
-    lines: list[str] = []
-    for event in events:
-        line = event.legacy_line()
-        if line is not None:
-            lines.append(line)
-    return lines
 
 
 def combine_callbacks(

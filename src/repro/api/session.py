@@ -16,8 +16,7 @@ policy for whole campaigns, and exposes
 * :meth:`LoupeSession.query` — lookups over the accumulated records.
 
 Progress surfaces as the typed event stream of
-:mod:`repro.api.events`; legacy string callbacks keep working through
-:func:`~repro.api.events.legacy_adapter`. Backends are chosen by
+:mod:`repro.api.events`. Backends are chosen by
 registry name (:mod:`repro.api.registry`) or supplied pre-built via
 :meth:`AnalysisRequest.for_app` / :meth:`AnalysisRequest.for_target`.
 
@@ -42,7 +41,6 @@ from repro.api.events import (
     TargetFinished,
     TargetStarted,
     combine_callbacks,
-    legacy_adapter,
     tag_backend,
 )
 from repro.api.registry import (
@@ -235,7 +233,6 @@ class LoupeSession:
         config: "AnalyzerConfig | None" = None,
         database: "Database | None" = None,
         on_event: "EventCallback | None" = None,
-        progress: "Callable[[str], None] | None" = None,
         cache_path: "str | None" = None,
     ) -> None:
         self.config = config or AnalyzerConfig()
@@ -275,7 +272,6 @@ class LoupeSession:
         #: contract is that stored records are final.
         self._semantics: dict[RecordKey, tuple] = {}
         self._on_event = on_event
-        self._progress = progress
         #: Probe-engine accounting of the most recent :meth:`analyze`
         #: that actually ran (cache hits leave it untouched).
         self.last_engine_stats: "EngineStats | None" = None
@@ -341,20 +337,6 @@ class LoupeSession:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _emitter(
-        self,
-        on_event: "EventCallback | None",
-        progress: "Callable[[str], None] | None",
-    ) -> "EventCallback | None":
-        return combine_callbacks(
-            on_event,
-            self._on_event,
-            legacy_adapter(progress) if progress is not None else None,
-            legacy_adapter(self._progress)
-            if self._progress is not None
-            else None,
-        )
-
     # -- the campaign API ----------------------------------------------------
 
     @staticmethod
@@ -388,7 +370,6 @@ class LoupeSession:
         workload: "str | None" = None,
         config: "AnalyzerConfig | None" = None,
         on_event: "EventCallback | None" = None,
-        progress: "Callable[[str], None] | None" = None,
         use_cache: bool = True,
         cancel_check: "Callable[[], bool] | None" = None,
     ) -> "AnalysisResult | CrossValidationReport":
@@ -422,7 +403,7 @@ class LoupeSession:
         before.
         """
         coerced = self._coerce(request, workload)
-        emit = self._emitter(on_event, progress)
+        emit = combine_callbacks(on_event, self._on_event)
         if cancel_check is not None:
             config = dataclasses.replace(
                 config or self.config, cancel_check=cancel_check
@@ -617,7 +598,6 @@ class LoupeSession:
         workload: "str | None" = None,
         config: "AnalyzerConfig | None" = None,
         on_event: "EventCallback | None" = None,
-        progress: "Callable[[str], None] | None" = None,
         use_cache: bool = True,
     ) -> CrossValidationReport:
         """Cross-validate one request across execution backends.
@@ -651,7 +631,7 @@ class LoupeSession:
         return self._fan_out(
             coerced,
             config=config,
-            emit=self._emitter(on_event, progress),
+            emit=combine_callbacks(on_event, self._on_event),
             use_cache=use_cache,
         )
 

@@ -71,5 +71,8 @@ class SimBackend:
         policy: InterpositionPolicy,
         *,
         replica: int = 0,
+        deadline: float | None = None,
     ) -> RunResult:
+        # A simulated run is a bounded computation: the deadline is
+        # ignored.
         return self._process.run(workload, policy, replica=replica)

@@ -913,7 +913,7 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--probe-timeout", type=float, default=None,
                         metavar="S", dest="probe_timeout",
                         help="wall-clock budget per probe run attempt; "
-                             "an attempt exceeding it is abandoned and "
+                             "an attempt is stopped at its deadline and "
                              "classified as a timeout fault")
     parser.add_argument("--retries", type=_nonnegative_int, default=0,
                         metavar="N",

@@ -31,9 +31,7 @@ boundaries; outcomes are folded back deterministically in feature
 order, keeping reports byte-identical to a serial run.
 
 Progress is reported as the typed event stream of
-:mod:`repro.api.events` (``on_event=``); the historical string callback
-(``progress=``) still works through the event-to-string adapter, whose
-output is byte-identical to the pre-event narration.
+:mod:`repro.api.events` (``on_event=``).
 
 How a backend may be scheduled — cached, overlapped, process-sharded —
 is decided entirely by its capability contract
@@ -68,8 +66,6 @@ from repro.api.events import (
     PoolRecovered,
     ProbeFaulted,
     ProbeRetry,
-    combine_callbacks,
-    legacy_adapter,
     tag_app,
 )
 from repro.core.decisions import Decision
@@ -145,7 +141,7 @@ class AnalyzerConfig:
     #: probe on any disagreement.
     priors: "object | None" = None
     #: Wall-clock budget for a single probe run attempt; an attempt
-    #: exceeding it is abandoned and classified as a ``timeout`` fault.
+    #: is stopped at its deadline and classified as a ``timeout`` fault.
     #: ``None`` disables the guard. This is what bounds a hung run on
     #: any backend, the campaign server's jobs included (the spec's
     #: ``probe_timeout``): the server itself never expires a job.
@@ -351,20 +347,14 @@ class Analyzer:
         *,
         app: str = "",
         app_version: str = "",
-        progress: Callable[[str], None] | None = None,
         on_event: EventCallback | None = None,
     ) -> AnalysisResult:
         """Run the complete analysis and return the result record.
 
         Progress surfaces on ``on_event`` as the typed events of
-        :mod:`repro.api.events`; the legacy string callback
-        ``progress`` keeps working through the event-to-string
-        adapter (its output is byte-identical to the pre-event form).
+        :mod:`repro.api.events`.
         """
-        emit = combine_callbacks(
-            on_event,
-            legacy_adapter(progress) if progress is not None else None,
-        ) or (lambda _event: None)
+        emit = on_event or (lambda _event: None)
         try:
             return self._analyze(
                 backend, workload,

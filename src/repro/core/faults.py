@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import os
 import random
-import threading
 import time
 from collections.abc import Iterable
 
@@ -48,7 +48,7 @@ from repro.errors import LoupeError
 
 # -- taxonomy ------------------------------------------------------------
 
-#: The probe exceeded its wall-clock budget; the run was abandoned.
+#: The probe exceeded its wall-clock budget; the run stopped at its deadline.
 FAULT_TIMEOUT = "timeout"
 #: The worker process executing the probe died (BrokenProcessPool).
 FAULT_WORKER_CRASH = "worker-crash"
@@ -88,12 +88,14 @@ class FaultPolicy:
     jitter_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.probe_timeout_s is not None and self.probe_timeout_s <= 0:
-            raise ValueError("probe_timeout_s must be positive (or None)")
+        # Chained comparisons are False for NaN, so NaN is refused too.
+        timeout = self.probe_timeout_s
+        if timeout is not None and not 0 < timeout < math.inf:
+            raise ValueError("probe_timeout_s must be positive and finite (or None)")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
+        if not 0 <= self.retry_backoff_s < math.inf:
+            raise ValueError("retry_backoff_s must be finite and >= 0")
         if self.on_fault not in ON_FAULT_MODES:
             raise ValueError(
                 f"on_fault must be one of {ON_FAULT_MODES}, "
@@ -105,8 +107,9 @@ class FaultPolicy:
         """Whether any guard is configured at all.
 
         An inactive policy keeps the engine on its historical fast
-        path: no wrapper threads, raw exception propagation, zero
-        overhead per run.
+        path: raw exception propagation, zero overhead per run. No
+        path starts a wrapper thread: a timed attempt runs on the
+        caller's thread and stops at its deadline.
         """
         return (
             self.probe_timeout_s is not None
@@ -282,6 +285,17 @@ def probe_key(
     return f"{workload.name}|{policy.fingerprint()}|{replica}"
 
 
+def _run(backend, workload, policy, replica, deadline):
+    """``backend.run``, passing ``deadline=`` only when there is one.
+
+    Backends that never run under a probe timeout keep the plain
+    ``run(workload, policy, *, replica=0)`` signature.
+    """
+    if deadline is None:
+        return backend.run(workload, policy, replica=replica)
+    return backend.run(workload, policy, replica=replica, deadline=deadline)
+
+
 def _attempt_once(
     backend,
     workload: Workload,
@@ -291,39 +305,23 @@ def _attempt_once(
 ) -> tuple[RunResult | None, str | None, str]:
     """One attempt: ``(result, fault_kind, detail)``.
 
-    With a timeout, the run executes on a daemon thread and is
-    *abandoned* (not killed — Python cannot interrupt arbitrary C
-    calls) when the budget expires; the thread dies with the process.
+    The run executes on the caller's thread. With a timeout, the
+    backend gets the attempt's ``deadline`` and stops by it (see
+    :class:`~repro.core.runner.ExecutionBackend`). A ``TimeoutError``,
+    or anything at all that arrives after the deadline, is a
+    ``timeout`` fault.
     """
-    if timeout_s is None:
-        try:
-            result = backend.run(workload, policy, replica=replica)
-        except Exception as error:
-            return None, FAULT_BACKEND_ERROR, f"{type(error).__name__}: {error}"
-    else:
-        box: dict[str, object] = {}
-
-        def target() -> None:
-            try:
-                box["result"] = backend.run(workload, policy, replica=replica)
-            except BaseException as error:  # reported through the box
-                box["error"] = error
-
-        thread = threading.Thread(
-            target=target, daemon=True, name="loupe-guarded-run"
-        )
-        thread.start()
-        thread.join(timeout_s)
-        if thread.is_alive():
-            return (
-                None,
-                FAULT_TIMEOUT,
-                f"no result within {timeout_s:g}s (run abandoned)",
-            )
-        if "error" in box:
-            error = box["error"]
-            return None, FAULT_BACKEND_ERROR, f"{type(error).__name__}: {error}"
-        result = box.get("result")
+    deadline = None if timeout_s is None else time.monotonic() + timeout_s
+    try:
+        result = _run(backend, workload, policy, replica, deadline)
+    except Exception as error:
+        result = error
+    if deadline is not None and (
+        isinstance(result, TimeoutError) or time.monotonic() > deadline
+    ):
+        return None, FAULT_TIMEOUT, f"no result within {timeout_s:g}s"
+    if isinstance(result, Exception):
+        return None, FAULT_BACKEND_ERROR, f"{type(result).__name__}: {result}"
     if not isinstance(result, RunResult):
         return (
             None,
@@ -343,7 +341,7 @@ def guarded_run(
     """Execute one probe run under *fault_policy*.
 
     Module-level so process-pool chunks apply identical semantics:
-    timeout per attempt, bounded retries with backoff, taxonomy
+    a deadline per attempt, bounded retries with backoff, taxonomy
     classification. Never raises for a classified fault — the caller
     decides between ``fail`` and ``degrade``.
     """
@@ -417,8 +415,9 @@ class ChaosSpec:
     probes — useful for property tests, hazardous for campaigns.
 
     * ``hang_features`` — sleep ``hang_s`` then raise (a probe
-      timeout shorter than ``hang_s`` classifies this as ``timeout``;
-      without one the campaign still terminates, as ``backend-error``);
+      deadline that comes first stops the sleep there and classifies
+      it as ``timeout``; without one the campaign still terminates, as
+      ``backend-error``);
     * ``error_features`` — raise :class:`ChaosError` immediately;
     * ``flip_features`` — return the wrong answer (success inverted);
     * ``crash_features`` — kill the *worker process* on the Nth
@@ -484,6 +483,7 @@ class ChaosBackend:
         policy: InterpositionPolicy,
         *,
         replica: int = 0,
+        deadline: float | None = None,
     ) -> RunResult:
         spec = self.spec
         altered = policy.altered_features()
@@ -491,6 +491,10 @@ class ChaosBackend:
         if spec.crash_features & altered:
             self._maybe_crash()
         if spec.hang_features & altered:
+            left = math.inf if deadline is None else deadline - time.monotonic()
+            if left < spec.hang_s:
+                time.sleep(max(0.0, left))
+                raise TimeoutError(f"chaos: hang stopped at the deadline for {key}")
             time.sleep(spec.hang_s)
             raise ChaosError(f"chaos: hang released after {spec.hang_s:g}s for {key}")
         if spec.error_features & altered or (
@@ -498,7 +502,7 @@ class ChaosBackend:
             and spec.chance("error", key) < spec.error_rate
         ):
             raise ChaosError(f"chaos: injected backend error for {key}")
-        result = self.inner.run(workload, policy, replica=replica)
+        result = _run(self.inner, workload, policy, replica, deadline)
         if spec.flip_features & altered:
             flipped = not result.success
             result = dataclasses.replace(

@@ -221,10 +221,17 @@ class ExecutionBackend(Protocol):
     :meth:`capabilities` — deterministic runs may be cached,
     parallel-safe runs may overlap, process-safe backends may be
     sharded over worker processes (see the descriptor for the full
-    vocabulary). The ptrace backend deliberately declares none of the
-    scheduling capabilities: live traced processes contend on ports
-    and on-disk state and hold OS handles no child process could
-    inherit.
+    vocabulary). The ptrace backend declares none of the scheduling
+    capabilities: live replicas of one command contend on ports and
+    on-disk state, and no workload has yet measured ptrace runs in
+    parallel.
+
+    A run under a probe timeout gets a ``deadline``, a
+    ``time.monotonic()`` instant. A backend that can block past it
+    must stop by it and raise the builtin ``TimeoutError``; a backend
+    whose run is a bounded computation may ignore it. The caller
+    passes ``deadline=`` only when the attempt has a timeout, so a
+    backend never run under one may omit the parameter.
     """
 
     name: str
@@ -239,8 +246,12 @@ class ExecutionBackend(Protocol):
         policy: InterpositionPolicy,
         *,
         replica: int = 0,
+        deadline: float | None = None,
     ) -> RunResult:
-        """Execute the workload; *replica* seeds run-to-run variation."""
+        """Execute the workload; *replica* seeds run-to-run variation.
+
+        Stops by *deadline*, when given, with ``TimeoutError``.
+        """
         ...
 
 

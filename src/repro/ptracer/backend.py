@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import subprocess
+import time
 
 from repro.core.policy import InterpositionPolicy
 from repro.core.runner import BackendCapabilities, ResourceUsage, RunResult
@@ -35,6 +36,13 @@ def _parse_metric(stdout: str) -> float | None:
         except ValueError:
             return None
     return None
+
+
+def _bound(timeout_s: float, deadline: "float | None") -> float:
+    """*timeout_s*, or the time left until *deadline* if that is less."""
+    if deadline is None:
+        return timeout_s
+    return max(0.0, min(timeout_s, deadline - time.monotonic()))
 
 
 @dataclasses.dataclass
@@ -59,11 +67,11 @@ class PtraceBackend:
         liberties.
 
         Live processes are not reproducible run-to-run (that is why
-        the analysis replicates), so runs are never cached; overlapping
-        replicas of the same live command would contend on ports and
-        on-disk state, so runs stay serial; and a traced process holds
-        OS handles no worker process could inherit, so runs never
-        shard. What this backend *does* offer is ``real_execution`` —
+        the analysis replicates), so runs are never cached. Runs stay
+        serial and unsharded: overlapping replicas of the same live
+        command would contend on ports and on-disk state, and no
+        workload has yet measured ptrace runs in parallel. What this
+        backend *does* offer is ``real_execution`` —
         it observes the actual application on the actual kernel, which
         makes it the preferred reference of a cross-validation report —
         plus pseudo-file and sub-feature observation when the
@@ -90,7 +98,11 @@ class PtraceBackend:
         policy: InterpositionPolicy,
         *,
         replica: int = 0,
+        deadline: float | None = None,
     ) -> RunResult:
+        """Trace one run, then judge it. The tracee and the test script
+        each stop at the workload's ``timeout_s`` (a failed run) or at
+        *deadline*, if sooner (``TimeoutError``)."""
         if not isinstance(workload, CommandWorkload):
             raise BackendError(
                 "the ptrace backend needs a CommandWorkload, got "
@@ -101,10 +113,12 @@ class PtraceBackend:
             binaries=workload.binaries,
             subfeature_level=self.subfeature_level,
             track_pseudofiles=self.track_pseudofiles,
-            timeout_s=workload.timeout_s,
+            timeout_s=_bound(workload.timeout_s, deadline),
         )
         env = dict(workload.env) if workload.env is not None else None
         outcome = tracer.run(list(workload.argv), env)
+        if outcome.timed_out and tracer.timeout_s < workload.timeout_s:
+            raise TimeoutError("the tracee reached the probe deadline")
 
         success = (
             not outcome.timed_out
@@ -121,12 +135,20 @@ class PtraceBackend:
             )
 
         if success and workload.test_argv is not None:
-            completed = subprocess.run(
-                list(workload.test_argv),
-                capture_output=True,
-                text=True,
-                timeout=workload.timeout_s,
-            )
+            limit = _bound(workload.timeout_s, deadline)
+            try:
+                completed = subprocess.run(
+                    list(workload.test_argv),
+                    capture_output=True,
+                    text=True,
+                    timeout=limit,
+                )
+            except subprocess.TimeoutExpired:
+                if limit < workload.timeout_s:
+                    raise TimeoutError(
+                        "the test script reached the probe deadline"
+                    ) from None
+                raise
             if completed.returncode != 0:
                 success = False
                 failure_reason = (

@@ -27,8 +27,9 @@ The durability layer (this module's half of it — the persistent half
 lives in :mod:`repro.server.jobstore`):
 
 * **Hangs and crashes.** A hung run is bounded by the run's own
-  timeout — the spec's ``probe_timeout`` (``guarded_run``, on any
-  backend) or ptrace's ``timeout_s`` and its pidfd watchdog — which
+  timeout — the spec's ``probe_timeout`` (a deadline ``guarded_run``
+  hands the backend, which stops by it) or ptrace's ``timeout_s`` and
+  its pidfd watchdog — which
   frees the worker, so the job lands ``done`` (degraded) or
   ``failed``. A server that dies leaves its jobs ``running`` on disk;
   the next start's :meth:`~repro.server.jobstore.JobStore.recover`

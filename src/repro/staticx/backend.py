@@ -84,7 +84,9 @@ class StaticBackend:
         policy: InterpositionPolicy,
         *,
         replica: int = 0,
+        deadline: float | None = None,
     ) -> RunResult:
+        # Reading a footprint cannot block: the deadline is ignored.
         footprint = sorted(self.program.static_view(self.level))
         blocked = [
             syscall for syscall in footprint

@@ -1,4 +1,4 @@
-"""Tests for the typed analysis event stream and its legacy adapter."""
+"""Tests for the typed analysis event stream."""
 
 import dataclasses
 import json
@@ -27,8 +27,6 @@ from repro.api.events import (
     TargetStarted,
     combine_callbacks,
     envelope,
-    legacy_adapter,
-    render_legacy,
 )
 from repro.appsim.backend import SimBackend
 from repro.appsim.behavior import (
@@ -60,17 +58,17 @@ def _op(syscall, **kwargs):
 
 
 def _analyze_collecting(program, **config_kwargs):
-    lines, events = [], []
+    events = []
     result = Analyzer(AnalyzerConfig(**config_kwargs) if config_kwargs else None).analyze(
         SimBackend(program), health_check("health"),
-        progress=lines.append, on_event=events.append,
+        on_event=events.append,
     )
-    return result, lines, events
+    return result, events
 
 
 class TestEventStream:
     def test_event_ordering(self):
-        _, _, events = _analyze_collecting(
+        _, events = _analyze_collecting(
             _program([_op("read"), _op("close")])
         )
         kinds = [event.kind for event in events]
@@ -85,7 +83,7 @@ class TestEventStream:
         assert kinds[3:5] == ["feature_probed", "feature_probed"]
 
     def test_events_carry_structured_payloads(self):
-        result, _, events = _analyze_collecting(
+        result, events = _analyze_collecting(
             _program([_op("read"), _op("close")])
         )
         started = events[0]
@@ -105,7 +103,7 @@ class TestEventStream:
     def test_every_event_carries_the_app_identity(self):
         # Attribution under analyze_many(jobs>1): concurrent analyses
         # interleave on one callback, so each event must name its app.
-        result, _, events = _analyze_collecting(
+        result, events = _analyze_collecting(
             _program([_op("read"), _op("close")])
         )
         assert all(event.app == result.app for event in events)
@@ -130,7 +128,7 @@ class TestEventStream:
             ],
             name="conflicting",
         )
-        result, lines, events = _analyze_collecting(program)
+        result, events = _analyze_collecting(program)
         bisections = [e for e in events if isinstance(e, ConflictBisected)]
         assert bisections, "expected at least one bisection event"
         assert all(e.conflict for e in bisections)
@@ -140,10 +138,9 @@ class TestEventStream:
             if isinstance(e, CombinedRunFinished) and not e.ok
         ]
         assert failed and failed[0].round == 1
-        assert any("bisecting" in line for line in lines)
 
     def test_json_round_trip(self):
-        _, _, events = _analyze_collecting(_program([_op("read")]))
+        _, events = _analyze_collecting(_program([_op("read")]))
         for event in events:
             payload = json.loads(json.dumps(event.to_dict()))
             assert payload["event"] == event.kind
@@ -153,7 +150,7 @@ class TestEventStream:
         """Single-target campaigns never stamp a backend tag, and the
         empty tag must not leak into their JSON stream (which stays
         byte-identical to the pre-fan-out format)."""
-        _, _, events = _analyze_collecting(_program([_op("read")]))
+        _, events = _analyze_collecting(_program([_op("read")]))
         for event in events:
             payload = event.to_dict()
             if isinstance(event, AnalysisStarted):
@@ -181,44 +178,6 @@ class TestEventStream:
 
 
 class TestLegacyAdapter:
-    def test_rendered_events_match_progress_strings(self):
-        _, lines, events = _analyze_collecting(
-            _program([_op("read"), _op("uname", on_fake=breaks_core())])
-        )
-        assert render_legacy(events) == lines
-
-    def test_exact_legacy_strings(self):
-        _, lines, _ = _analyze_collecting(_program([_op("close")]))
-        assert lines[0] == "baseline: 3 passthrough replica(s)"
-        assert lines[1] == "tracing found 1 feature(s) to probe"
-        assert lines[2] == "probe close: stub=ok fake=ok"
-        assert lines[3] == "final combined run ok (1 features avoided)"
-        assert lines[4].startswith("engine: ")
-        assert lines[5].startswith("analysis finished in ")
-
-    def test_vacuous_combined_run_renders_nothing(self):
-        event = CombinedRunFinished(ok=True, avoided=0, round=1)
-        assert event.legacy_line() is None
-        _, lines, _ = _analyze_collecting(
-            _program([_op("read", on_stub=abort(), on_fake=breaks_core())])
-        )
-        assert not any("final combined run" in line for line in lines)
-
-    def test_silent_events_have_no_legacy_line(self):
-        assert AnalysisStarted(
-            app="a", workload="w", backend="b", replicas=3
-        ).legacy_line() is None
-        assert ConflictBisected(round=1, conflict=("mmap",)).legacy_line() is None
-
-    def test_engine_stats_event_renders_describe(self):
-        stats = EngineStats(
-            runs_requested=10, runs_executed=7,
-            cache_hits=3, replicas_skipped=2,
-        )
-        event = EngineStatsEvent.from_stats(stats)
-        assert event.stats() == stats
-        assert event.legacy_line() == f"engine: {stats.describe()}"
-
     def test_engine_stats_event_carries_executor_and_persistence(self):
         stats = EngineStats(
             runs_requested=4, runs_executed=1, cache_hits=3,
@@ -229,7 +188,6 @@ class TestLegacyAdapter:
         document = event.to_dict()
         assert document["executor"] == "process"
         assert document["persistent_hits"] == 2
-        assert "2 from the persistent cache" in event.legacy_line()
 
     def test_serial_probing_streams_feature_events(self):
         """At parallel=1 each FeatureProbed must fire before the next
@@ -268,7 +226,7 @@ class TestLegacyAdapter:
         assert probed_positions["prctl"] < first_run("uname")
 
     def test_analysis_reports_resolved_executor(self):
-        _, _, events = _analyze_collecting(
+        _, events = _analyze_collecting(
             _program([_op("close")]), parallel=2, executor="process"
         )
         stats_events = [
@@ -276,18 +234,6 @@ class TestLegacyAdapter:
         ]
         assert len(stats_events) == 1
         assert stats_events[0].executor == "process"
-
-    def test_duration_formatting_matches_legacy(self):
-        assert AnalysisFinished(duration_s=1.2345).legacy_line() == (
-            "analysis finished in 1.23s"
-        )
-
-    def test_adapter_drops_silent_events(self):
-        seen = []
-        emit = legacy_adapter(seen.append)
-        emit(AnalysisStarted(app="a", workload="w", backend="b", replicas=3))
-        emit(BaselineStarted(replicas=2))
-        assert seen == ["baseline: 2 passthrough replica(s)"]
 
 
 class TestCombineCallbacks:
@@ -326,10 +272,10 @@ class TestEnvelope:
             feature="close", can_stub=False, can_fake=False,
             traced_count=2, app="a",
         )
-        legacy_line = json.dumps(event.to_dict())
+        bare_line = json.dumps(event.to_dict())
         wrapped = json.loads(json.dumps(envelope(event)))
         wrapped.pop("schema_version")
-        assert json.dumps(wrapped) == legacy_line
+        assert json.dumps(wrapped) == bare_line
 
     def test_schema_version_override(self):
         from repro.api.events import envelope
@@ -340,7 +286,7 @@ class TestEnvelope:
     def test_legacy_stream_has_no_schema_version(self):
         """--events jsonl consumers must keep seeing the exact
         pre-envelope event documents."""
-        _, _, events = _analyze_collecting(_program([_op("close")]))
+        _, events = _analyze_collecting(_program([_op("close")]))
         for event in events:
             assert "schema_version" not in event.to_dict()
 
@@ -351,7 +297,6 @@ class TestEnvelope:
         document = event.to_dict()
         assert document["event"] == "analysis_cancelled"
         assert document["reason"] == "signal"
-        assert event.legacy_line() == "analysis cancelled after 1.50s"
 
 
 def _every_event_class(base=AnalysisEvent):

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.api.events import AnalysisEvent, FeatureProbed, render_legacy
+from repro.api.events import AnalysisEvent, FeatureProbed
 from repro.api.session import AnalysisRequest, LoupeSession
 from repro.appsim.backend import SimBackend
 from repro.appsim.corpus import build
@@ -463,14 +463,6 @@ class TestMultiTargetFanOut:
 
 
 class TestEventsAndProgress:
-    def test_session_progress_renders_legacy_strings(self):
-        lines, events = [], []
-        session = LoupeSession(progress=lines.append, on_event=events.append)
-        session.analyze("weborf", workload="health")
-        assert lines == render_legacy(events)
-        assert lines[0] == "baseline: 3 passthrough replica(s)"
-        assert any(isinstance(e, FeatureProbed) for e in events)
-
     def test_per_call_on_event_composes_with_session_callback(self):
         session_events, call_events = [], []
         session = LoupeSession(on_event=session_events.append)

@@ -507,8 +507,6 @@ class TestSessionIntegration:
         assert event.entries > 0
         assert event.app == "weborf"
         assert event.to_dict()["event"] == "store_stats"
-        # The legacy string protocol never reported store state.
-        assert event.legacy_line() is None
 
     def test_no_store_no_event(self):
         events = []

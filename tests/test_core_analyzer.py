@@ -299,14 +299,19 @@ class TestProgressReporting:
                 _op("close", on_stub=ignore(), on_fake=harmless()),
             ]
         )
-        lines = []
+        events = []
         Analyzer().analyze(
             SimBackend(program), health_check("health"),
-            progress=lines.append,
+            on_event=events.append,
         )
-        text = "\n".join(lines)
-        assert "baseline" in text
-        assert "feature(s) to probe" in text
-        assert "probe read" in text
-        assert "final combined run ok" in text
-        assert "analysis finished" in text
+        kinds = [event.kind for event in events]
+        for kind in (
+            "baseline_started", "features_enumerated", "feature_probed",
+            "combined_run_finished", "engine_stats", "analysis_finished",
+        ):
+            assert kind in kinds
+        assert "read" in {
+            event.feature for event in events if event.kind == "feature_probed"
+        }
+        combined = [e for e in events if e.kind == "combined_run_finished"]
+        assert combined[-1].ok and combined[-1].avoided > 0

@@ -487,12 +487,13 @@ class TestAnalyzerIntegration:
         assert not hostile.features["close"].decision.can_stub
 
     def test_progress_narrates_engine(self):
-        lines = []
+        events = []
         Analyzer().analyze(
             SimBackend(_mixed_program()), health_check("health"),
-            progress=lines.append,
+            on_event=events.append,
         )
-        assert any(line.startswith("engine:") for line in lines)
+        stats = [e for e in events if e.kind == "engine_stats"]
+        assert len(stats) == 1 and stats[0].runs_executed > 0
 
 
 def _stats_invariant(stats):

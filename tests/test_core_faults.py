@@ -23,8 +23,10 @@ Covers the robustness layer end to end:
 import argparse
 import dataclasses
 import json
+import math
 import pickle
 import sqlite3
+import threading
 import time
 from collections import Counter
 
@@ -138,10 +140,36 @@ class _FlakyBackend:
 
 
 class _HangingBackend:
+    """Blocks for 5 s, or until its deadline, as the contract asks."""
+
     name = "sim:hanging"
 
-    def run(self, workload, policy, *, replica=0):
+    def run(self, workload, policy, *, replica=0, deadline=None):
+        if deadline is not None and deadline - time.monotonic() < 5.0:
+            time.sleep(max(0.0, deadline - time.monotonic()))
+            raise TimeoutError("deadline reached")
         time.sleep(5.0)
+        return _result()
+
+
+class _LateBackend:
+    """Ignores its deadline and returns a good result after it."""
+
+    name = "sim:late"
+
+    def run(self, workload, policy, *, replica=0, deadline=None):
+        time.sleep(0.2)
+        return _result()
+
+
+class _ThreadRecordingBackend:
+    name = "sim:threads"
+
+    def __init__(self):
+        self.threads = []
+
+    def run(self, workload, policy, *, replica=0, deadline=None):
+        self.threads.append(threading.get_ident())
         return _result()
 
 
@@ -162,6 +190,15 @@ class TestFaultPolicy:
             FaultPolicy(retry_backoff_s=-0.1)
         with pytest.raises(ValueError):
             FaultPolicy(on_fault="explode")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_timeout_and_backoff_refused(self, value):
+        with pytest.raises(ValueError):
+            FaultPolicy(probe_timeout_s=value)
+        with pytest.raises(ValueError):
+            FaultPolicy(retry_backoff_s=value)
+        with pytest.raises(ValueError):
+            AnalyzerConfig(probe_timeout_s=value)
 
     def test_activation(self):
         assert not FaultPolicy().active
@@ -226,13 +263,45 @@ class TestGuardedRun:
         assert len(fault.durations_s) == 2
 
     def test_timeout_classified_and_abandoned(self):
+        started = time.monotonic()
         outcome = guarded_run(
             _HangingBackend(), _WORKLOAD, stubbing("close"), 0,
             FaultPolicy(probe_timeout_s=0.05),
         )
+        assert time.monotonic() - started < 2.0
         assert outcome.faulted
         assert outcome.failures[0].kind == FAULT_TIMEOUT
-        assert "0.05s" in outcome.failures[0].detail
+        assert outcome.failures[0].detail == "no result within 0.05s"
+
+    def test_late_result_is_a_timeout(self):
+        outcome = guarded_run(
+            _LateBackend(), _WORKLOAD, stubbing("close"), 0,
+            FaultPolicy(probe_timeout_s=0.05),
+        )
+        assert outcome.faulted
+        assert outcome.failures[0].kind == FAULT_TIMEOUT
+
+    def test_timed_attempt_runs_on_the_callers_thread(self):
+        backend = _ThreadRecordingBackend()
+        before = threading.active_count()
+        outcome = guarded_run(
+            backend, _WORKLOAD, stubbing("close"), 0,
+            FaultPolicy(probe_timeout_s=5.0),
+        )
+        assert outcome.result == _result()
+        assert backend.threads == [threading.get_ident()]
+        assert threading.active_count() == before
+
+    def test_timeout_error_without_a_deadline_is_a_backend_error(self):
+        class Raising:
+            def run(self, workload, policy, *, replica=0):
+                raise TimeoutError("the backend's own timeout")
+
+        outcome = guarded_run(
+            Raising(), _WORKLOAD, stubbing("close"), 0,
+            FaultPolicy(on_fault="degrade"),
+        )
+        assert outcome.failures[0].kind == FAULT_BACKEND_ERROR
 
     def test_torn_result_classified(self):
         outcome = guarded_run(
@@ -309,6 +378,36 @@ class TestChaosBackend:
         # Inline execution (the serial executor) hits the pid
         # guard: the run proceeds normally instead of os._exit()ing.
         assert chaos.run(_WORKLOAD, stubbing("close")).success
+
+    def test_hang_stops_at_the_deadline(self):
+        spec = ChaosSpec(hang_features=frozenset({"close"}), hang_s=5.0)
+        chaos = ChaosBackend(SimBackend(_PROGRAM), spec)
+        started = time.monotonic()
+        with pytest.raises(TimeoutError):
+            chaos.run(_WORKLOAD, stubbing("close"), deadline=started + 0.1)
+        assert 0.1 <= time.monotonic() - started < 2.0
+
+    def test_hang_shorter_than_the_deadline_is_an_error(self):
+        spec = ChaosSpec(hang_features=frozenset({"close"}), hang_s=0.05)
+        chaos = ChaosBackend(SimBackend(_PROGRAM), spec)
+        with pytest.raises(ChaosError):
+            chaos.run(
+                _WORKLOAD, stubbing("close"),
+                deadline=time.monotonic() + 5.0,
+            )
+
+    def test_deadline_reaches_the_inner_backend(self):
+        seen = []
+
+        class Inner:
+            def run(self, workload, policy, *, replica=0, deadline=None):
+                seen.append(deadline)
+                return _result()
+
+        chaos = ChaosBackend(Inner(), ChaosSpec())
+        chaos.run(_WORKLOAD, passthrough(), deadline=12.5)
+        chaos.run(_WORKLOAD, passthrough())
+        assert seen == [12.5, None]
 
     def test_capabilities_and_name_delegate(self):
         chaos = ChaosBackend(SimBackend(_PROGRAM), ChaosSpec())
@@ -843,8 +942,6 @@ class TestFaultEventWireFormat:
         for event in events:
             document = json.loads(json.dumps(event.to_dict()))
             assert document["event"] == event.kind
-            # The legacy string transcript ignores fault events.
-            assert event.legacy_line() is None
 
     def test_engine_stats_event_omits_zero_faulted(self):
         from repro.core.engine import EngineStats

@@ -1,10 +1,13 @@
 """End-to-end tests: the Loupe analyzer on real Linux binaries."""
 
+import os
 import sys
+import time
 
 import pytest
 
 from repro.core.analyzer import Analyzer, AnalyzerConfig
+from repro.core.faults import FAULT_TIMEOUT, FaultPolicy, guarded_run
 from repro.core.policy import passthrough
 from repro.core.workload import CommandWorkload, WorkloadKind
 from repro.errors import BackendError
@@ -61,6 +64,58 @@ class TestBackend:
         backend = PtraceBackend()
         with pytest.raises(BackendError):
             backend.run(health_check("health"), passthrough())
+
+
+class TestProbeDeadline:
+    """A probe timeout stops the tracee; the workload's own timeout
+    still makes a failed run."""
+
+    def _guarded(self, workload):
+        started = time.monotonic()
+        outcome = guarded_run(
+            PtraceBackend(), workload, passthrough(), 0,
+            FaultPolicy(probe_timeout_s=0.3, on_fault="degrade"),
+        )
+        return outcome, time.monotonic() - started
+
+    def _assert_no_child_left(self):
+        """No ``sleep`` child of this process, live or unreaped. (The
+        shared worker pool's processes are children too, so
+        ``waitpid(-1)`` cannot answer this inside the suite.)"""
+        me = str(os.getpid())
+        for entry in filter(str.isdigit, os.listdir("/proc")):
+            try:
+                with open(f"/proc/{entry}/stat") as handle:
+                    stat = handle.read()
+            except OSError:  # exited meanwhile
+                continue
+            comm, _, rest = stat.partition("(")[2].rpartition(")")
+            assert not (comm == "sleep" and rest.split()[1] == me), entry
+
+    def test_probe_deadline_kills_the_tracee(self):
+        outcome, elapsed = self._guarded(_workload(["/bin/sleep", "5"]))
+        assert elapsed < 2.0
+        assert outcome.faulted
+        assert outcome.failures[0].kind == FAULT_TIMEOUT
+        self._assert_no_child_left()
+
+    def test_probe_deadline_bounds_the_test_script(self):
+        outcome, elapsed = self._guarded(_workload(
+            ["/bin/true"], test_argv=("/bin/sleep", "5"),
+        ))
+        assert elapsed < 2.0
+        assert outcome.failures[0].kind == FAULT_TIMEOUT
+        self._assert_no_child_left()
+
+    def test_workload_timeout_stays_a_failed_run(self):
+        workload = CommandWorkload(
+            name="cmd", kind=WorkloadKind.HEALTH_CHECK,
+            argv=("/bin/sleep", "5"), timeout_s=0.3,
+        )
+        result = PtraceBackend().run(workload, passthrough())
+        assert not result.success
+        assert "timed out after" in result.failure_reason
+        self._assert_no_child_left()
 
 
 class TestMetricParsing:

@@ -3,6 +3,7 @@ pool, HTTP surface, CLI clients, and cooperative cancellation."""
 
 import dataclasses
 import json
+import math
 import os
 import signal
 import sys
@@ -305,6 +306,19 @@ class TestHTTPSurface:
         for spec in (
             {"run_cache": "http://x"},
             {"run_cache": "runs.jsonl", "run_cache_max_entries": 5},
+        ):
+            with pytest.raises(ServiceError) as caught:
+                client.submit({**QUICK_SPEC, **spec})
+            assert caught.value.status == 400, spec
+        assert client.jobs() == []
+
+    def test_submit_non_finite_timeout_is_400(self, client):
+        """``json`` reads ``NaN``; a NaN probe timeout would otherwise
+        be accepted and then crash (or never fire) in the worker."""
+        for spec in (
+            {"probe_timeout": math.nan},
+            {"probe_timeout": math.inf},
+            {"retries": 1, "retry_backoff": math.nan},
         ):
             with pytest.raises(ServiceError) as caught:
                 client.submit({**QUICK_SPEC, **spec})

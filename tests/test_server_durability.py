@@ -193,6 +193,26 @@ class TestHungAndSlowJobs:
             (fault["probe"], fault["kind"]) for fault in report["faults"]
         ) == [("getpid=fake", "timeout"), ("getpid=stub", "timeout")]
 
+    def test_timed_out_run_leaves_no_thread_behind(
+        self, tmp_path, hang_backend_name
+    ):
+        """A run stopped at its deadline is over: no thread keeps
+        running it until the 3 s hang ends."""
+        with CampaignServer(tmp_path / "svc", workers=1) as server:
+            client = ServiceClient(server.url)
+            before = threading.active_count()
+            meta = client.submit({
+                **QUICK_SPEC, "backend": hang_backend_name,
+                "probe_timeout": 0.2, "on_fault": "degrade",
+            })
+            _wait_until(lambda: (
+                client.job(meta["id"])["status"] in TERMINAL_STATES
+            ))
+            assert client.job(meta["id"])["status"] == DONE
+            _wait_until(
+                lambda: threading.active_count() <= before, timeout=1.0
+            )
+
 
 class TestCheckpointResume:
     def test_kill_resume_is_byte_identical_and_warm(self, tmp_path):
