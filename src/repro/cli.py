@@ -53,6 +53,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import signal
 import sys
 import threading
@@ -92,6 +93,30 @@ def _nonnegative_int(raw: str) -> int:
         value = int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{raw!r} is not an integer")
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
+def _seconds(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a number")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite")
+    return value
+
+
+def _positive_seconds(raw: str) -> float:
+    value = _seconds(raw)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be > 0")
+    return value
+
+
+def _nonnegative_seconds(raw: str) -> float:
+    value = _seconds(raw)
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return value
@@ -909,8 +934,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
-    """The fault-tolerance flags shared by ``analyze`` and ``compare``."""
-    parser.add_argument("--probe-timeout", type=float, default=None,
+    """The fault-tolerance flags shared by ``analyze``, ``compare`` and
+    ``submit``. Out-of-range values are usage errors (exit 2)."""
+    parser.add_argument("--probe-timeout", type=_positive_seconds,
+                        default=None,
                         metavar="S", dest="probe_timeout",
                         help="wall-clock budget per probe run attempt; "
                              "an attempt is stopped at its deadline and "
@@ -920,7 +947,8 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
                         help="extra attempts after a faulted probe run "
                              "(exponential backoff between attempts; "
                              "default 0)")
-    parser.add_argument("--retry-backoff", type=float, default=0.05,
+    parser.add_argument("--retry-backoff", type=_nonnegative_seconds,
+                        default=0.05,
                         metavar="S", dest="retry_backoff",
                         help="base delay of the retry backoff "
                              "(default 0.05s)")

@@ -36,11 +36,33 @@ Resource usage (peak RSS via ``/proc/<pid>/status`` VmHWM, open
 descriptors via ``/proc/<pid>/fd``) is sampled once, at the root's
 ``PTRACE_EVENT_EXIT`` stop, mirroring the paper's /proc-based
 measurements (point D in Figure 1).
+
+How the root is forked, and how a run is held to its deadline, depends
+on whether the tracer is its process's only thread, as the kernel counts
+threads just before the fork (:func:`_can_fork_raw`):
+
+* **one thread** (a serial campaign, a pool worker): libc ``fork``,
+  called through ``ctypes.PyDLL`` so the GIL stays held. It skips
+  CPython's after-fork work, the larger part of a short run's set-up,
+  and the child copies ~38 pages instead of ~280. The parent then blocks
+  ``SIGCHLD`` (after the fork, since exec keeps a signal mask) and each
+  wait polls ``waitpid(WNOHANG)``, sleeping in ``sigtimedwait`` until
+  the next ``SIGCHLD`` or the deadline. No thread is started, so the
+  next run takes the same path;
+* **more than one** (server workers, ``--jobs`` threads), or a
+  ``SIGCHLD`` that is not at its default action: ``os.fork``,
+  since a child forked while another thread wants the GIL can hang, and
+  a blocking ``waitpid``, which the :class:`_Watchdog` thread ends at
+  the deadline by killing the root.
+
+Either way, a run past its deadline has its whole tree killed and
+reaped.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
 import math
 import os
@@ -48,6 +70,7 @@ import signal
 import threading
 import time
 from collections import Counter
+from collections.abc import Callable
 
 from repro.core.policy import Action, FakeStrategy, InterpositionPolicy, fake_strategy
 from repro.core.pseudofiles import OPEN_FAMILY, is_pseudo_path
@@ -121,12 +144,16 @@ class TraceOutcome:
 class _Watchdog:
     """SIGKILLs root tracees whose run outlives its deadline.
 
-    The supervise loop checks its deadline only between blocking
-    ``waitpid`` calls, so a tracee asleep inside one syscall would never
-    reach it. Killing the root tracee wakes the loop, which then sees
-    the deadline and kills the rest of the tree. Signals go through a
-    pidfd, so a recycled pid is never hit. One daemon thread serves
-    every run: a thread started per run cost about a tenth of a traced
+    It serves only tracers that share their process with another
+    thread, which fork with ``os.fork`` and wait in a blocking
+    ``waitpid``; a tracer alone in its process waits in ``sigtimedwait``
+    instead, so a serial campaign never starts this thread. A blocking
+    supervise loop checks its deadline only between ``waitpid`` calls,
+    so a tracee asleep inside one syscall would never reach it. Killing
+    the root tracee wakes the loop, which then sees the deadline and
+    kills the rest of the tree. Signals go through a pidfd, so a
+    recycled pid is never hit. One daemon thread serves every run: a
+    thread started per run cost about a tenth of a traced
     ``/bin/echo``'s CPU time. Without pidfd support (pre-5.3 kernels,
     strict seccomp filters) nothing is armed.
     """
@@ -184,6 +211,69 @@ _WATCHDOG = _Watchdog()
 # A forked child has no watchdog thread, and may hold its lock mid-use.
 os.register_at_fork(after_in_child=_WATCHDOG.__init__)
 
+#: libc through ``PyDLL``, whose calls keep the GIL held.
+_libc = ctypes.PyDLL(None, use_errno=True)
+_libc.fork.restype = ctypes.c_int
+_libc.fork.argtypes = ()
+
+
+def _raw_fork() -> int:
+    """libc ``fork`` without CPython's before- and after-fork work; its
+    ``os.register_at_fork`` hooks do not run. Safe only in a process
+    with one thread: a child forked while another thread wants the GIL
+    can hang."""
+    pid = _libc.fork()
+    if pid == -1:
+        errno = ctypes.get_errno()
+        raise OSError(errno, os.strerror(errno), "fork")
+    return pid
+
+
+def _can_fork_raw() -> bool:
+    """Whether a run may fork through libc and wait in ``sigtimedwait``.
+
+    Only when this thread is the process's only one, as the kernel
+    counts them (``threading.active_count()`` misses ``_thread``
+    threads), and ``SIGCHLD`` is at its default action: an ignored
+    ``SIGCHLD`` is never sent for a stop, and a handler would lose the
+    ones the wait consumes.
+    """
+    if signal.getsignal(signal.SIGCHLD) is not signal.SIG_DFL:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+#: Waits for the next stop or exit of *pid* (-1: any tracee) and returns
+#: ``(pid, status)``, or ``None`` once *deadline* has passed.
+_Wait = Callable[[int, float], "tuple[int, int] | None"]
+
+
+def _wait_blocking(pid: int, deadline: float) -> "tuple[int, int] | None":
+    """The watchdog path: the deadline is checked between stops, and the
+    watchdog's SIGKILL ends a wait for a stop that never comes."""
+    if time.monotonic() > deadline:
+        return None
+    return os.waitpid(pid, WAIT_TRACEES)
+
+
+def _wait_signalled(pid: int, deadline: float) -> "tuple[int, int] | None":
+    """The one-thread path, with ``SIGCHLD`` blocked: take a ready stop,
+    else sleep in ``sigtimedwait`` until the next ``SIGCHLD`` or the
+    deadline. Pending ``SIGCHLD`` signals merge, so one wake-up can
+    stand for several stops; polling before every sleep drains them
+    all."""
+    while True:
+        remaining = deadline - time.monotonic()
+        if remaining < 0:
+            return None
+        found = os.waitpid(pid, os.WNOHANG | WAIT_TRACEES)
+        if found[0]:
+            return found
+        signal.sigtimedwait((signal.SIGCHLD,), remaining)
+
 
 class SyscallTracer:
     """Trace one command tree under an interposition policy."""
@@ -209,7 +299,11 @@ class SyscallTracer:
         """Execute *argv* under trace and return the raw outcome."""
         program = compile_filter(self.trapped_numbers())
         started = time.monotonic()
-        child = os.fork()
+        deadline = started + self.timeout_s
+        # Checked right before the fork: only this thread could start
+        # another one in between.
+        alone = _can_fork_raw()
+        child = _raw_fork() if alone else os.fork()
         if child == 0:
             self._child(argv, env, program)
 
@@ -221,11 +315,21 @@ class SyscallTracer:
             mem_peak_kb=0,
             duration_s=0.0,
         )
-        watch = _WATCHDOG.arm(child, self.timeout_s)
+        if alone:
+            # Blocked in the parent only: exec keeps a signal mask, so
+            # blocking before the fork would leak into the tracee.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGCHLD})
+            wait = _wait_signalled
+        else:
+            watch = _WATCHDOG.arm(child, self.timeout_s)
+            wait = _wait_blocking
         try:
-            self._supervise(child, outcome, started)
+            self._supervise(child, outcome, deadline, wait)
         finally:
-            _WATCHDOG.disarm(watch)
+            if alone:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            else:
+                _WATCHDOG.disarm(watch)
             outcome.duration_s = time.monotonic() - started
         # A lone root the watchdog killed empties the tree before the
         # loop can look at its deadline.
@@ -273,28 +377,35 @@ class SyscallTracer:
 
     # -- parent side -----------------------------------------------------------
 
-    def _supervise(self, root: int, outcome: TraceOutcome, started: float) -> None:
+    def _supervise(
+        self, root: int, outcome: TraceOutcome, deadline: float, wait: "_Wait"
+    ) -> None:
         # pid -> whether its syscalls are attributed and interposed.
         # The root's own seccomp stops before its exec (the exec path
         # search) are neither.
         states: dict[int, bool] = {root: False}
         root_execed = False
 
-        pid, status = os.waitpid(root, WAIT_TRACEES)
-        if not os.WIFSTOPPED(status):
+        first = wait(root, deadline)
+        if first is None:
+            outcome.timed_out = True
+            self._kill_all(states)
+            return
+        if not os.WIFSTOPPED(first[1]):
             raise TraceeError("tracee vanished before its first stop")
         ptrace(PTRACE_SETOPTIONS, root, 0, _TRACE_OPTIONS)
         ptrace(PTRACE_CONT, root, 0, 0)
 
         while states:
-            if time.monotonic() - started > self.timeout_s:
+            try:
+                found = wait(-1, deadline)
+            except ChildProcessError:
+                break
+            if found is None:
                 outcome.timed_out = True
                 self._kill_all(states)
                 break
-            try:
-                pid, status = os.waitpid(-1, WAIT_TRACEES)
-            except ChildProcessError:
-                break
+            pid, status = found
 
             if os.WIFEXITED(status) or os.WIFSIGNALED(status):
                 if pid == root:
@@ -352,13 +463,23 @@ class SyscallTracer:
         deadline = time.monotonic() + 2.0
         while states and time.monotonic() < deadline:
             try:
-                pid, _status = os.waitpid(-1, os.WNOHANG | WAIT_TRACEES)
+                pid, status = os.waitpid(-1, os.WNOHANG | WAIT_TRACEES)
             except ChildProcessError:
                 break
-            if pid:
-                states.pop(pid, None)
-            else:
+            if not pid:
                 time.sleep(0.01)
+            elif os.WIFSTOPPED(status):
+                # A killed tracee still stops at its exit event, and a
+                # child forked just before the kill at its attach stop:
+                # each must be let go to die.
+                if pid not in states:
+                    states[pid] = False
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGKILL)
+                with contextlib.suppress(OSError):
+                    ptrace(PTRACE_CONT, pid, 0, 0)
+            else:
+                states.pop(pid, None)
         states.clear()
 
     # -- syscall handling ----------------------------------------------------------

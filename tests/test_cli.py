@@ -407,6 +407,43 @@ class TestCompare:
         assert report.targets == ("appsim",)
 
 
+class TestFaultFlags:
+    """Out-of-range fault flags are usage errors, like ``--retries -1``:
+    argparse refuses them before any run, with exit 2 and no
+    traceback."""
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--probe-timeout", "-1"),
+        ("--probe-timeout", "0"),
+        ("--probe-timeout", "nan"),
+        ("--probe-timeout", "inf"),
+        ("--probe-timeout", "soon"),
+        ("--retry-backoff", "-1"),
+        ("--retry-backoff", "inf"),
+        ("--retry-backoff", "nan"),
+        ("--retries", "-1"),
+    ])
+    def test_out_of_range_value_is_a_usage_error(
+        self, capsys, command, flag, value
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--app", "weborf", "--workload", "health",
+                  f"{flag}={value}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}:" in err
+        assert "Traceback" not in err
+
+    def test_in_range_values_run(self, capsys):
+        code = main([
+            "analyze", "--app", "weborf", "--workload", "health",
+            "--probe-timeout", "5", "--retry-backoff", "0",
+        ])
+        assert code == 0
+        assert "app: weborf" in capsys.readouterr().out
+
+
 class TestPlan:
     def test_plan_named_os(self, capsys):
         assert main(["plan", "--os", "unikraft"]) == 0
