@@ -1,20 +1,26 @@
-"""Real-ptrace perf smoke: the tracer's libc-fork path against ``os.fork``.
+"""Real-ptrace perf smoke: the tracer's ``sigtimedwait`` wait against its
+watchdog wait.
 
-A tracer that is its process's only thread forks its tracees through
-libc and bounds each run with ``sigtimedwait``; a tracer sharing its
-process with another thread uses ``os.fork`` and the watchdog thread.
+Every tracee is started by the same spawn (``repro.ptracer.spawn``). A
+tracer that is its process's only thread bounds each run with
+``sigtimedwait``; a tracer sharing its process with another thread waits
+in a blocking ``waitpid`` that the watchdog thread ends at the deadline.
 This bench runs the same serial campaign over four coreutils commands
-on each path, each campaign in a fresh interpreter pinned to one CPU
+on each wait, each campaign in a fresh interpreter pinned to one CPU
 (as perfbench's ``ptrace`` workload is), and an idle thread forces the
-``os.fork`` path. The paths alternate, three campaigns each, and the
-best of three is compared.
+watchdog wait. The waits alternate, five campaigns each, and the
+medians are compared.
 
-It asserts that both paths reach identical analyses (required,
+It asserts that both waits reach identical analyses (required,
 avoidable, stubbable and fakeable sets, and ``final_run_ok``) and that
-the libc-fork path is no slower, and writes the numbers to
-``BENCH_ptrace.json`` for CI to archive. Unlike the synthetic
-``_GilBoundBackend`` rows of ``bench_parallel_engine.py``, every run
-here is a real traced process. Run it from the repository root:
+the ``sigtimedwait`` wait is no more than ``MARGIN`` slower. That wait
+makes two more calls per stop than a blocking ``waitpid``; its median
+campaign has read 7-18% slower, and single campaigns on one CPU spread
+by ±10%, so the check is there to catch a wait that oversleeps (a lost
+``SIGCHLD`` costs a whole deadline), not to rank the two. It writes the
+numbers to ``BENCH_ptrace.json`` for CI to archive. Unlike the synthetic
+``_GilBoundBackend`` rows of ``bench_parallel_engine.py``, every run here
+is a real traced process. Run it from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks/bench_ptrace.py -q -s
 """
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -40,14 +47,17 @@ RESULTS_PATH = Path("BENCH_ptrace.json")
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-ROUNDS = 3
+ROUNDS = 5
 
-#: One serial campaign; ``sys.argv[1]`` names the fork path, and
+#: How much slower than the watchdog wait the ``sigtimedwait`` one may be.
+MARGIN = 1.5
+
+#: One serial campaign; ``sys.argv[1]`` names the wait, and
 #: ``sys.argv[2]`` is the JSON list of commands.
 _CAMPAIGN = """
 import json, os, sys, threading, time
 os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
-if sys.argv[1] == "os_fork":
+if sys.argv[1] == "watchdog":
     threading.Thread(target=threading.Event().wait, daemon=True).start()
 from repro import LoupeSession
 from repro.api.session import AnalysisRequest
@@ -85,48 +95,48 @@ def _campaign(path: str, commands: list) -> dict:
     return json.loads(completed.stdout.splitlines()[-1])
 
 
-def test_libc_fork_path_is_no_slower(tmp_path):
+def test_both_waits_agree_and_neither_oversleeps(tmp_path):
     (tmp_path / "input.txt").write_text("one line of fixed input\n")
     labels = ["/bin/true", "/bin/echo loupe", "/bin/ls DIR", "/bin/date -u"]
     commands = [
         [str(tmp_path) if arg == "DIR" else arg for arg in label.split()]
         for label in labels
     ]
-    paths = ["libc_fork", "os_fork"]
+    paths = ["signalled", "watchdog"]
     campaigns: dict = {path: [] for path in paths}
     for round_index in range(ROUNDS):
         for path in paths if round_index % 2 == 0 else paths[::-1]:
             campaigns[path].append(_campaign(path, commands))
 
-    best = {
-        path: min(campaign["campaign_s"] for campaign in campaigns[path])
+    median = {
+        path: statistics.median(c["campaign_s"] for c in campaigns[path])
         for path in paths
     }
     results = {
         "rounds": ROUNDS,
         "commands": labels,
-        "runs_per_campaign": campaigns["libc_fork"][0]["runs"],
-        **{f"{path}_campaign_s": round(best[path], 4) for path in paths},
+        "runs_per_campaign": campaigns["signalled"][0]["runs"],
+        **{f"{path}_campaign_s": round(median[path], 4) for path in paths},
         **{
             f"{path}_all_s": [round(c["campaign_s"], 4) for c in campaigns[path]]
             for path in paths
         },
-        "libc_fork_speedup": round(best["os_fork"] / best["libc_fork"], 3),
+        "signalled_speedup": round(median["watchdog"] / median["signalled"], 3),
     }
     RESULTS_PATH.write_text(json.dumps(results, indent=2, sort_keys=True))
-    print("\n=== Real ptrace: serial campaign, best of "
+    print("\n=== Real ptrace: serial campaign, median of "
           f"{ROUNDS}, one CPU ===")
     for path in paths:
-        print(f"{path:>9}: {best[path]:.3f} s "
+        print(f"{path:>9}: {median[path]:.3f} s "
               f"({results['runs_per_campaign']} runs)")
     print(f"bench results written to {RESULTS_PATH}")
 
-    # Only the libc-fork campaign stays at one thread: no watchdog.
-    assert all(c["threads"] == 1 for c in campaigns["libc_fork"])
-    assert all(c["threads"] > 1 for c in campaigns["os_fork"])
-    reference = campaigns["libc_fork"][0]["found"]
+    # Only the signalled campaign stays at one thread: no watchdog.
+    assert all(c["threads"] == 1 for c in campaigns["signalled"])
+    assert all(c["threads"] > 1 for c in campaigns["watchdog"])
+    reference = campaigns["signalled"][0]["found"]
     assert all(entry["final_run_ok"] for entry in reference.values())
     for path in paths:
         for campaign in campaigns[path]:
             assert campaign["found"] == reference, path
-    assert best["libc_fork"] <= best["os_fork"]
+    assert median["signalled"] <= median["watchdog"] * MARGIN

@@ -2,9 +2,10 @@
 
 The paper implements its interposition hooks in ~500 LoC of C on top of
 seccomp and ptrace; this module is the Python equivalent of that layer.
-Everything here is a thin, faithful mapping of ``<sys/ptrace.h>``,
-``<sys/prctl.h>`` and ``<linux/seccomp.h>`` — no policy, no
-interpretation.
+Everything here is a thin, faithful mapping of ``<sys/ptrace.h>`` and
+``<linux/seccomp.h>`` — no policy, no interpretation. The tracee's own
+side (``PTRACE_TRACEME``, ``prctl``, ``execve``) is machine code in
+:mod:`repro.ptracer.spawn`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import signal
 
 from repro.errors import PtraceUnavailableError
 from repro.ptracer.seccomp_bpf import build_trace_filter, pack_program
+from repro.ptracer.spawn import spawn
 from repro.syscalls import number_of
 
 # -- ptrace requests (x86-64 numbering) --------------------------------------
@@ -57,12 +59,6 @@ WAIT_TRACEES = 0x40000000 | 0x20000000
 #: the call; ``rax``, set in the same stop, is then its return value.
 SKIP_SYSCALL = ctypes.c_ulonglong(-1).value
 
-# -- prctl(2) / seccomp(2) -------------------------------------------------
-
-PR_SET_SECCOMP = 22
-PR_SET_NO_NEW_PRIVS = 38
-SECCOMP_MODE_FILTER = 2
-
 #: ``-ENOSYS`` as an unsigned 64-bit register value.
 ENOSYS = 38
 NEG_ENOSYS = ctypes.c_ulonglong(-ENOSYS).value
@@ -99,11 +95,6 @@ _libc.ptrace.restype = ctypes.c_long
 _libc.ptrace.argtypes = (
     ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
 )
-_libc.prctl.restype = ctypes.c_int
-_libc.prctl.argtypes = (
-    ctypes.c_int, ctypes.c_ulong, ctypes.c_void_p, ctypes.c_ulong,
-    ctypes.c_ulong,
-)
 
 
 def ptrace(request: int, pid: int, addr: int = 0, data: int = 0) -> int:
@@ -122,32 +113,12 @@ def compile_filter(numbers: "frozenset[int] | None") -> SockFprog:
     """The seccomp program that stops the tracee on *numbers* only
     (on every syscall for ``None``).
 
-    Built in the tracer before it forks, so the child only installs it.
+    Built in the tracer before it spawns, so the child only installs it.
     """
     packed = pack_program(build_trace_filter(numbers))
     buffer = ctypes.create_string_buffer(packed, len(packed))
     # The cast keeps *buffer* alive for as long as the program is.
     return SockFprog(len(packed) // 8, ctypes.cast(buffer, ctypes.c_void_p))
-
-
-def traceme_filtered(program: SockFprog) -> None:
-    """Child side of a seccomp-filtered trace, run before exec.
-
-    Requests tracing, then stops so the parent can set
-    ``PTRACE_O_TRACESECCOMP`` before any ``SECCOMP_RET_TRACE`` fires
-    (without that option a trapped call fails with ``ENOSYS``, the exec
-    included). Then installs *program*, which every later exec and
-    child inherits.
-    """
-    ptrace(PTRACE_TRACEME, 0)
-    os.kill(os.getpid(), signal.SIGSTOP)
-    for option, value, pointer in (
-        (PR_SET_NO_NEW_PRIVS, 1, None),
-        (PR_SET_SECCOMP, SECCOMP_MODE_FILTER, ctypes.addressof(program)),
-    ):
-        if _libc.prctl(option, value, pointer, 0, 0) != 0:
-            errno = ctypes.get_errno()
-            raise OSError(errno, os.strerror(errno), f"prctl({option})")
 
 
 def get_regs(pid: int) -> UserRegs:
@@ -189,37 +160,36 @@ def read_cstring(pid: int, address: int, limit: int = 4096) -> str:
 
 
 #: The probe child's stops, as ``status >> 8``: its own ``SIGSTOP``,
-#: then the seccomp event of its trapped ``getppid``.
+#: then the seccomp event of its trapped ``execve``.
 _PROBE_STOPS = [signal.SIGSTOP, signal.SIGTRAP | PTRACE_EVENT_SECCOMP << 8]
 
 
+@functools.cache
 def ptrace_works() -> bool:
-    """Probe whether this environment permits seccomp-filtered ptrace.
+    """Probe, once per process, whether this host permits the tracer's
+    spawn and seccomp-filtered ptrace.
 
     Some sandboxes deny ptrace, or seccomp, via their own seccomp
-    policy or Yama; tests skip the real backend there instead of
-    failing. The probe child goes through the tracer's own set-up
-    (:func:`traceme_filtered` with a filter trapping ``getppid``) and
-    must stop once on its ``SIGSTOP``, once on the trapped call, then
-    exit 0.
+    policy or Yama, and some refuse an executable page; tests skip the
+    real backend there instead of failing. The probe child is started
+    by the tracer's own :func:`~repro.ptracer.spawn.spawn`, under a
+    filter trapping ``execve``, to exec ``/``, a directory: it must stop
+    once on its ``SIGSTOP``, once on the trapped ``execve``, then exit
+    127 when the exec fails.
     """
-    program = compile_filter(frozenset({number_of("getppid")}))
-    pid = os.fork()
-    if pid == 0:
-        code = 13
-        try:
-            traceme_filtered(program)
-            os.getppid()
-            code = 0
-        finally:
-            os._exit(code)
+    program = compile_filter(frozenset({number_of("execve")}))
+    try:
+        child = spawn(["/"], {}, ctypes.addressof(program))
+    except OSError:
+        return False
+    pid = child.pid
     stops = []
     try:
         while True:
             _, status = os.waitpid(pid, WAIT_TRACEES)
             if not os.WIFSTOPPED(status):
                 return (
-                    os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+                    os.WIFEXITED(status) and os.WEXITSTATUS(status) == 127
                     and stops == _PROBE_STOPS
                 )
             if not stops:
@@ -242,7 +212,7 @@ def require_ptrace() -> None:
     """Raise :class:`PtraceUnavailableError` unless ptrace is usable."""
     if not ptrace_works():
         raise PtraceUnavailableError(
-            "this environment denies ptrace(2) or seccomp filters; the "
-            "real tracing backend is unavailable (simulation backend "
-            "remains fully functional)"
+            "this environment denies ptrace(2), seccomp filters or the "
+            "tracer's spawn; the real tracing backend is unavailable "
+            "(simulation backend remains fully functional)"
         )

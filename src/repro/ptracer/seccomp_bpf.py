@@ -11,8 +11,8 @@ The builder is a pure function, unit-tested through :func:`simulate`.
 Every traced run installs its output: the tracer
 (:mod:`repro.ptracer.tracer`) compiles one filter per run, over every
 syscall for a baseline and over the altered ones for a probe, and
-:func:`repro.ptracer.ctypes_bindings.traceme_filtered` installs it in
-the child before exec.
+the child that :func:`repro.ptracer.spawn.spawn` starts installs it
+before exec.
 """
 
 from __future__ import annotations

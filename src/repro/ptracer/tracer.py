@@ -22,9 +22,12 @@ the run; every other call runs at full speed:
   A probe run therefore counts only the calls it traps; feature
   enumeration reads baseline runs alone.
 
-The child requests tracing and stops; the tracer sets its options
-(``PTRACE_O_TRACESECCOMP`` among them); the child then installs the
-filter and execs. The root's execve is counted once, at its exec event.
+The root is started by :func:`~repro.ptracer.spawn.spawn`: a child
+that shares the tracer's memory and runs no Python, only a few hundred
+bytes of machine code. It requests tracing and stops; the tracer sets
+its options (``PTRACE_O_TRACESECCOMP`` among them); the child then
+installs the filter and execs. The root's execve is counted once, at
+its exec event.
 
 Binary whitelisting (Section 3.3) is honored at ``execve`` boundaries:
 children running non-whitelisted binaries are still supervised (their
@@ -37,23 +40,18 @@ descriptors via ``/proc/<pid>/fd``) is sampled once, at the root's
 ``PTRACE_EVENT_EXIT`` stop, mirroring the paper's /proc-based
 measurements (point D in Figure 1).
 
-How the root is forked, and how a run is held to its deadline, depends
-on whether the tracer is its process's only thread, as the kernel counts
-threads just before the fork (:func:`_can_fork_raw`):
+How a run is held to its deadline depends on whether the tracer is its
+process's only thread, as the kernel counts threads just before the
+spawn (:func:`_can_wait_signalled`):
 
-* **one thread** (a serial campaign, a pool worker): libc ``fork``,
-  called through ``ctypes.PyDLL`` so the GIL stays held. It skips
-  CPython's after-fork work, the larger part of a short run's set-up,
-  and the child copies ~38 pages instead of ~280. The parent then blocks
-  ``SIGCHLD`` (after the fork, since exec keeps a signal mask) and each
-  wait polls ``waitpid(WNOHANG)``, sleeping in ``sigtimedwait`` until
-  the next ``SIGCHLD`` or the deadline. No thread is started, so the
-  next run takes the same path;
+* **one thread** (a serial campaign, a pool worker): the tracer blocks
+  ``SIGCHLD`` and each wait polls ``waitpid(WNOHANG)``, sleeping in
+  ``sigtimedwait`` until the next ``SIGCHLD`` or the deadline. No thread
+  is started, so the next run takes the same path;
 * **more than one** (server workers, ``--jobs`` threads), or a
-  ``SIGCHLD`` that is not at its default action: ``os.fork``,
-  since a child forked while another thread wants the GIL can hang, and
-  a blocking ``waitpid``, which the :class:`_Watchdog` thread ends at
-  the deadline by killing the root.
+  ``SIGCHLD`` that is not at its default action: a blocking
+  ``waitpid``, which the :class:`_Watchdog` thread ends at the deadline
+  by killing the root.
 
 Either way, a run past its deadline has its whole tree killed and
 reaped.
@@ -92,14 +90,13 @@ from repro.ptracer.ctypes_bindings import (
     PTRACE_SETOPTIONS,
     SKIP_SYSCALL,
     WAIT_TRACEES,
-    SockFprog,
     compile_filter,
     get_regs,
     ptrace,
     read_cstring,
     set_regs,
-    traceme_filtered,
 )
+from repro.ptracer.spawn import spawn
 from repro.syscalls import TABLE_X86_64, decode
 
 _TRACE_OPTIONS = (
@@ -145,9 +142,9 @@ class _Watchdog:
     """SIGKILLs root tracees whose run outlives its deadline.
 
     It serves only tracers that share their process with another
-    thread, which fork with ``os.fork`` and wait in a blocking
-    ``waitpid``; a tracer alone in its process waits in ``sigtimedwait``
-    instead, so a serial campaign never starts this thread. A blocking
+    thread, which wait in a blocking ``waitpid``; a tracer alone in its
+    process waits in ``sigtimedwait`` instead, so a serial campaign
+    never starts this thread. A blocking
     supervise loop checks its deadline only between ``waitpid`` calls,
     so a tracee asleep inside one syscall would never reach it. Killing
     the root tracee wakes the loop, which then sees the deadline and
@@ -211,26 +208,9 @@ _WATCHDOG = _Watchdog()
 # A forked child has no watchdog thread, and may hold its lock mid-use.
 os.register_at_fork(after_in_child=_WATCHDOG.__init__)
 
-#: libc through ``PyDLL``, whose calls keep the GIL held.
-_libc = ctypes.PyDLL(None, use_errno=True)
-_libc.fork.restype = ctypes.c_int
-_libc.fork.argtypes = ()
 
-
-def _raw_fork() -> int:
-    """libc ``fork`` without CPython's before- and after-fork work; its
-    ``os.register_at_fork`` hooks do not run. Safe only in a process
-    with one thread: a child forked while another thread wants the GIL
-    can hang."""
-    pid = _libc.fork()
-    if pid == -1:
-        errno = ctypes.get_errno()
-        raise OSError(errno, os.strerror(errno), "fork")
-    return pid
-
-
-def _can_fork_raw() -> bool:
-    """Whether a run may fork through libc and wait in ``sigtimedwait``.
+def _can_wait_signalled() -> bool:
+    """Whether a run may wait in ``sigtimedwait``, with no watchdog.
 
     Only when this thread is the process's only one, as the kernel
     counts them (``threading.active_count()`` misses ``_thread``
@@ -300,12 +280,13 @@ class SyscallTracer:
         program = compile_filter(self.trapped_numbers())
         started = time.monotonic()
         deadline = started + self.timeout_s
-        # Checked right before the fork: only this thread could start
+        # Checked right before the spawn: only this thread could start
         # another one in between.
-        alone = _can_fork_raw()
-        child = _raw_fork() if alone else os.fork()
-        if child == 0:
-            self._child(argv, env, program)
+        alone = _can_wait_signalled()
+        # The child runs on *tracee*'s memory until it execs: it lives
+        # in this frame until the run is over.
+        tracee = spawn(argv, env, ctypes.addressof(program))
+        child = tracee.pid
 
         outcome = TraceOutcome(
             exit_code=-1,
@@ -316,15 +297,23 @@ class SyscallTracer:
             duration_s=0.0,
         )
         if alone:
-            # Blocked in the parent only: exec keeps a signal mask, so
-            # blocking before the fork would leak into the tracee.
+            # Blocked after the spawn: the child restores the mask the
+            # spawn found, and exec keeps it.
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGCHLD})
             wait = _wait_signalled
         else:
             watch = _WATCHDOG.arm(child, self.timeout_s)
             wait = _wait_blocking
+        # pid -> whether its syscalls are attributed and interposed.
+        # The root's own seccomp stops before its exec (the exec path
+        # search) are neither.
+        states: dict[int, bool] = {child: False}
         try:
-            self._supervise(child, outcome, deadline, wait)
+            self._supervise(child, states, outcome, deadline, wait)
+        except BaseException:
+            # A root that has not exec'd still runs on *tracee*'s memory.
+            self._kill_all(states)
+            raise
         finally:
             if alone:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -360,30 +349,16 @@ class SyscallTracer:
         by_name = TABLE_X86_64.by_name
         return frozenset(by_name[name] for name in names if name in by_name)
 
-    # -- child side ----------------------------------------------------------
-
-    @staticmethod
-    def _child(
-        argv: "list[str]", env: "dict[str, str] | None", program: SockFprog
-    ) -> None:
-        try:
-            traceme_filtered(program)
-            if env is None:
-                os.execvp(argv[0], argv)
-            else:
-                os.execvpe(argv[0], argv, env)
-        finally:
-            os._exit(127)
-
     # -- parent side -----------------------------------------------------------
 
     def _supervise(
-        self, root: int, outcome: TraceOutcome, deadline: float, wait: "_Wait"
+        self,
+        root: int,
+        states: "dict[int, bool]",
+        outcome: TraceOutcome,
+        deadline: float,
+        wait: "_Wait",
     ) -> None:
-        # pid -> whether its syscalls are attributed and interposed.
-        # The root's own seccomp stops before its exec (the exec path
-        # search) are neither.
-        states: dict[int, bool] = {root: False}
         root_execed = False
 
         first = wait(root, deadline)
@@ -392,6 +367,7 @@ class SyscallTracer:
             self._kill_all(states)
             return
         if not os.WIFSTOPPED(first[1]):
+            states.clear()
             raise TraceeError("tracee vanished before its first stop")
         ptrace(PTRACE_SETOPTIONS, root, 0, _TRACE_OPTIONS)
         ptrace(PTRACE_CONT, root, 0, 0)
@@ -408,6 +384,7 @@ class SyscallTracer:
             pid, status = found
 
             if os.WIFEXITED(status) or os.WIFSIGNALED(status):
+                states.pop(pid, None)
                 if pid == root:
                     if not root_execed:
                         raise TraceeError("tracee exited before its exec")
@@ -416,7 +393,6 @@ class SyscallTracer:
                     else:
                         outcome.exit_code = 128 + os.WTERMSIG(status)
                         outcome.term_signal = os.WTERMSIG(status)
-                states.pop(pid, None)
                 continue
             if not os.WIFSTOPPED(status):
                 continue

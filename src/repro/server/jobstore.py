@@ -641,10 +641,14 @@ class JobStore:
         Returns immediately when lines are already available or the
         job is terminal (a terminal job will never emit again — there
         is nothing to wait for).
+
+        The status is read before the lines: every line a job appends
+        lands before its terminal status, so a terminal read with no
+        fresh lines means the stream is complete.
         """
         def read() -> tuple:
-            lines, next_since = self.read_events(job_id, since)
             status = self.meta(job_id).status
+            lines, next_since = self.read_events(job_id, since)
             return (lines, next_since, status), status, bool(lines)
 
         return self._long_poll(self._event_conditions, job_id, timeout, read)

@@ -1,12 +1,13 @@
-"""Tests of the tracer's two fork paths.
+"""Tests of the tracer's two wait paths, on its one spawn.
 
-A tracer that is its process's only thread forks through libc and bounds
-a run with ``sigtimedwait``; any other tracer uses ``os.fork`` and the
-watchdog thread. The suite's own process holds pool, server and
-watchdog threads, so in-process the one-thread path would never run:
-every test here drives a fresh interpreter. Each one is pinned to one
-CPU, where a ptrace stop hands the CPU straight between tracee and
-tracer; across CPUs a campaign takes about three times as long.
+Every tracee is started by :func:`repro.ptracer.spawn.spawn`. A tracer
+that is its process's only thread bounds a run with ``sigtimedwait``;
+any other tracer waits in a blocking ``waitpid`` that the watchdog
+thread ends. The suite's own process holds pool, server and watchdog
+threads, so in-process the one-thread path would never run: every test
+here drives a fresh interpreter. Each one is pinned to one CPU, where a
+ptrace stop hands the CPU straight between tracee and tracer; across
+CPUs a campaign takes about three times as long.
 """
 
 import json
@@ -44,24 +45,31 @@ def idle_thread():
     threading.Thread(target=threading.Event().wait, daemon=True).start()
 """
 
-#: Counts the calls to the libc fork, in ``raw_forks``.
-_COUNT_RAW_FORKS = """
-raw_forks = 0
-_libc_fork = tracer._raw_fork
+#: Counts the tracer's spawns, in ``spawns``, and the runs that took the
+#: ``sigtimedwait`` wait, in ``signalled``.
+_COUNT_SPAWNS = """
+spawns = signalled = 0
+_spawn, _gate = tracer.spawn, tracer._can_wait_signalled
 
-def _counted_raw_fork():
-    global raw_forks
-    raw_forks += 1
-    return _libc_fork()
+def _counted_spawn(*args):
+    global spawns
+    spawns += 1
+    return _spawn(*args)
 
-tracer._raw_fork = _counted_raw_fork
+def _counted_gate():
+    global signalled
+    alone = _gate()
+    signalled += alone
+    return alone
+
+tracer.spawn, tracer._can_wait_signalled = _counted_spawn, _counted_gate
 """
 
 
-def _fresh(body: str, *, count_raw_forks: bool = True, timeout: float = 120.0):
+def _fresh(body: str, *, count_spawns: bool = True, timeout: float = 120.0):
     """Run *body* in a fresh interpreter; returns its stdout lines, the
     last of which is the JSON document *body* printed."""
-    script = _PRELUDE + (_COUNT_RAW_FORKS if count_raw_forks else "")
+    script = _PRELUDE + (_COUNT_SPAWNS if count_spawns else "")
     completed = subprocess.run(
         [sys.executable, "-c", script + textwrap.dedent(body)],
         capture_output=True, text=True, timeout=timeout,
@@ -75,7 +83,7 @@ def _fresh(body: str, *, count_raw_forks: bool = True, timeout: float = 120.0):
 class TestOneThreadPath:
     def test_serial_campaign_leaves_one_thread(self):
         """No watchdog thread is started, so every run of a serial
-        campaign can take the libc fork."""
+        campaign can wait in ``sigtimedwait``."""
         result, _ = _fresh("""
             from repro import LoupeSession
             from repro.api.session import AnalysisRequest
@@ -88,7 +96,7 @@ class TestOneThreadPath:
                 "threads": threads(),
                 "names": [thread.name for thread in threading.enumerate()],
             }))
-        """, count_raw_forks=False)
+        """, count_spawns=False)
         assert result == {"ok": True, "threads": 1, "names": ["MainThread"]}
 
     def test_timeout_stops_a_sleeping_tracee(self):
@@ -100,14 +108,15 @@ class TestOneThreadPath:
             print(json.dumps({
                 "timed_out": outcome.timed_out,
                 "elapsed": time.monotonic() - started,
-                "raw_forks": raw_forks,
+                "spawns": spawns,
+                "signalled": signalled,
                 "no_children": no_children(),
                 "threads": threads(),
             }))
         """)
         assert result["timed_out"]
         assert result["elapsed"] < 2.0
-        assert result["raw_forks"] == 1
+        assert result["spawns"] == result["signalled"] == 1
         assert result["no_children"]
         assert result["threads"] == 1
 
@@ -128,38 +137,44 @@ class TestOneThreadPath:
             print(json.dumps({
                 "faults": [failure.kind for failure in outcome.failures],
                 "elapsed": time.monotonic() - started,
-                "raw_forks": raw_forks,
+                "spawns": spawns,
+                "signalled": signalled,
                 "no_children": no_children(),
             }))
         """)
         assert result["faults"] == ["timeout"]
         assert result["elapsed"] < 2.0
-        assert result["raw_forks"] == 1
+        assert result["spawns"] == result["signalled"] == 1
         assert result["no_children"]
 
     def test_tracee_starts_with_no_signal_blocked(self):
-        """``SIGCHLD`` is blocked in the tracer only after the fork, so
-        the tracee (which keeps its mask across exec) blocks nothing,
-        and the tracer's own mask is restored after the run."""
+        """The spawn blocks every signal around the clone and the tracer
+        blocks ``SIGCHLD`` after it, but the tracee (which keeps its
+        mask across exec) blocks nothing, and the tracer's own mask is
+        restored after the run."""
         result, lines = _fresh("""
             outcome = tracer.SyscallTracer(passthrough()).run(
                 ["grep", "SigBlk", "/proc/self/status"]
             )
             print(json.dumps({
                 "exit_code": outcome.exit_code,
-                "raw_forks": raw_forks,
+                "spawns": spawns,
+                "signalled": signalled,
                 "mask_after": sorted(signal.pthread_sigmask(signal.SIG_BLOCK, [])),
             }))
         """)
-        assert result == {"exit_code": 0, "raw_forks": 1, "mask_after": []}
+        assert result == {
+            "exit_code": 0, "spawns": 1, "signalled": 1, "mask_after": [],
+        }
         assert lines == ["SigBlk:\t0000000000000000"]
 
 
 class TestDeadline:
-    @pytest.mark.parametrize("setup, raw_forks", [("", 1), ("idle_thread()", 0)])
-    def test_tracee_that_keeps_stopping_is_reaped(self, setup, raw_forks):
+    @pytest.mark.parametrize("setup, signalled", [("", 1), ("idle_thread()", 0)])
+    def test_tracee_that_keeps_stopping_is_reaped(self, setup, signalled):
         """A tracee killed at the deadline between two of its stops still
-        stops at its exit event; it is let go to die, not left stopped."""
+        stops at its exit event; it is let go to die, not left stopped,
+        on either wait."""
         result, _ = _fresh(f"""
             {setup}
             spin = "import os\\nwhile True: os.getppid()"
@@ -168,20 +183,22 @@ class TestDeadline:
             )
             print(json.dumps({{
                 "timed_out": outcome.timed_out,
-                "raw_forks": raw_forks,
+                "spawns": spawns,
+                "signalled": signalled,
                 "no_children": no_children(),
             }}))
         """)
         assert result == {
-            "timed_out": True, "raw_forks": raw_forks, "no_children": True,
+            "timed_out": True, "spawns": 1, "signalled": signalled,
+            "no_children": True,
         }
 
 
 class TestGate:
-    def test_a_gil_hungry_thread_forces_os_fork(self):
-        """With another thread asking for the GIL through 300 runs, no
-        run takes the libc fork, none hangs, and each observes what the
-        same run observed alone."""
+    def test_a_gil_hungry_thread_takes_the_watchdog_wait(self):
+        """With another thread asking for the GIL through 300 runs, every
+        run uses the same spawn and takes the watchdog wait, none hangs,
+        and each observes what the same run observed alone."""
         result, _ = _fresh("""
             cases = [
                 (stubbing("write"), ["/bin/echo", "x"]),
@@ -194,7 +211,7 @@ class TestGate:
                 return [outcome.exit_code, dict(outcome.traced), outcome.timed_out]
 
             alone = [observe(*case) for case in cases]
-            raw_alone = raw_forks
+            counts_alone = [spawns, signalled]
             stop = threading.Event()
             spins = [0]
 
@@ -211,8 +228,8 @@ class TestGate:
                 stop.set()
                 spinner.join(10.0)
             print(json.dumps({
-                "raw_alone": raw_alone,
-                "raw_with_thread": raw_forks - raw_alone,
+                "alone": counts_alone,
+                "with_thread": [spawns - counts_alone[0], signalled - counts_alone[1]],
                 "mismatched": sum(
                     run != alone[index % 3] for index, run in enumerate(runs)
                 ),
@@ -220,13 +237,13 @@ class TestGate:
                 "spinner_alive": spinner.is_alive(),
             }))
         """, timeout=300.0)
-        assert result["raw_alone"] == 3
-        assert result["raw_with_thread"] == 0
+        assert result["alone"] == [3, 3]
+        assert result["with_thread"] == [300, 0]
         assert result["mismatched"] == 0
         assert result["spins"] > 0
         assert not result["spinner_alive"]
 
-    def test_an_ignored_sigchld_forces_os_fork(self):
+    def test_an_ignored_sigchld_takes_the_watchdog_wait(self):
         """An ignored ``SIGCHLD`` is never sent for a stop, so
         ``sigtimedwait`` would sleep to the deadline."""
         result, _ = _fresh("""
@@ -237,17 +254,20 @@ class TestGate:
             print(json.dumps({
                 "exit_code": outcome.exit_code,
                 "timed_out": outcome.timed_out,
-                "raw_forks": raw_forks,
+                "spawns": spawns,
+                "signalled": signalled,
             }))
         """)
-        assert result == {"exit_code": 0, "timed_out": False, "raw_forks": 0}
+        assert result == {
+            "exit_code": 0, "timed_out": False, "spawns": 1, "signalled": 0,
+        }
 
 
 class TestPathEquivalence:
     def test_both_paths_reach_the_same_analysis(self, tmp_path):
-        """A serial campaign on the libc fork and on ``os.fork`` (forced
-        by an idle thread) finds the same sets, and a passthrough run
-        traces the same calls."""
+        """A serial campaign on the ``sigtimedwait`` wait and on the
+        watchdog wait (forced by an idle thread) finds the same sets,
+        and a passthrough run traces the same calls."""
         (tmp_path / "input.txt").write_text("one line of fixed input\n")
         body = """
             from repro import LoupeSession
@@ -272,12 +292,14 @@ class TestPathEquivalence:
                         "final_run_ok": report.final_run_ok,
                         "traced": dict(traced),
                     }}
-            print(json.dumps({{"found": found, "raw_forks": raw_forks}}))
+            print(json.dumps({{
+                "found": found, "spawns": spawns, "signalled": signalled,
+            }}))
         """
         directory = str(tmp_path)
-        raw, _ = _fresh(body.format(setup="", directory=directory))
-        forked, _ = _fresh(body.format(setup="idle_thread()", directory=directory))
-        assert raw["raw_forks"] > 0
-        assert forked["raw_forks"] == 0
-        assert raw["found"] == forked["found"]
-        assert all(entry["final_run_ok"] for entry in raw["found"].values())
+        signalled, _ = _fresh(body.format(setup="", directory=directory))
+        watched, _ = _fresh(body.format(setup="idle_thread()", directory=directory))
+        assert signalled["spawns"] == signalled["signalled"] > 0
+        assert watched["spawns"] > 0 and watched["signalled"] == 0
+        assert signalled["found"] == watched["found"]
+        assert all(entry["final_run_ok"] for entry in signalled["found"].values())

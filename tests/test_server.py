@@ -443,6 +443,35 @@ class TestLongPollWakeups:
         assert lines == ['{"event": "late"}\n']
         assert (next_since, status) == (1, RUNNING)
 
+    def test_a_tail_gets_every_line_that_lands_with_the_terminal_status(
+        self, tmp_path
+    ):
+        """Two appends and the ``done`` transition land between a read's
+        two halves: the tail, which stops on a terminal status with no
+        fresh lines, still gets all three lines."""
+        store, job_id = self._running_job(tmp_path)
+        store.append_event(job_id, '{"event": "one"}')
+        original = store.read_events
+
+        def read_events(job, since=0):
+            result = original(job, since)
+            if since == 1 and store.meta(job_id).status == RUNNING:
+                store.append_event(job_id, '{"event": "two"}')
+                store.append_event(job_id, '{"event": "three"}')
+                store.transition(job_id, DONE, owner="worker")
+            return result
+
+        store.read_events = read_events
+        tailed, since = [], 0
+        while True:
+            lines, since, status = store.wait_for_events(job_id, since, 5.0)
+            tailed += lines
+            if status == DONE and not lines:
+                break
+        assert [json.loads(line)["event"] for line in tailed] == [
+            "one", "two", "three",
+        ]
+
     def test_transition_after_the_first_read_wakes_the_meta_wait(
         self, tmp_path
     ):
