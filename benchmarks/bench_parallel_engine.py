@@ -31,6 +31,9 @@ executors and both cache tiers:
 * **compaction** — ``compact()`` on a duplicate-heavy JSONL cache
   must reclaim the superseded bulk while preserving every live key
   (the ratio lands in the JSON as ``compaction.ratio``).
+* **bookkeeping** — a serial analysis of the corpus must spend less
+  time around its runs (analyzer and engine bookkeeping) than inside
+  ``backend.run`` (``bookkeeping.bookkeeping_over_run``).
 * **timed campaign** — a probe timeout that never fires must cost at
   most 2x an untimed serial campaign, with byte-identical reports:
   a timed run stops at its deadline on the caller's thread, so no
@@ -282,6 +285,88 @@ def test_timed_campaign_costs_no_thread(seven_app_set):
     }
     assert _digest(timed_results) == _digest(untimed_results)
     assert ratio <= 2.0, f"a never-firing timeout costs {ratio:.2f}x"
+
+
+class _TimedBackend:
+    """Wraps a backend and sums the wall time spent inside its ``run``
+    — what is left of an analysis is the analyzer's and the engine's
+    own bookkeeping around the runs."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.name = inner.name
+        self.run_s = 0.0
+
+    def capabilities(self):
+        from repro.core.runner import capabilities_of
+
+        return capabilities_of(self._inner)
+
+    def run(self, workload, policy, *, replica=0):
+        started = time.perf_counter()
+        try:
+            return self._inner.run(workload, policy, replica=replica)
+        finally:
+            self.run_s += time.perf_counter() - started
+
+
+def test_analysis_bookkeeping_per_run(seven_app_set):
+    """The analyzer and engine bookkeeping around each appsim run: a
+    serial analysis of the corpus against the time spent inside
+    ``backend.run``. Best of three campaigns."""
+    apps = _reduced(seven_app_set)
+
+    def campaign():
+        analysis_s = run_s = 0.0
+        runs = 0
+        results = []
+        for app in apps:
+            analyzer = Analyzer(AnalyzerConfig(executor="serial"))
+            backend = _TimedBackend(app.backend())
+            workload = app.workload("bench")
+            started = time.perf_counter()
+            results.append(analyzer.analyze(
+                backend, workload, app=app.name, app_version=app.version,
+            ))
+            analysis_s += time.perf_counter() - started
+            run_s += backend.run_s
+            runs += analyzer.engine.stats.runs_executed
+        return analysis_s, run_s, runs, results
+
+    reference, _, _ = _analyze_corpus(
+        apps, "bench", parallel=1, cache=True, early_exit=True,
+    )
+    analysis_s, run_s, runs, results = min(
+        (campaign() for _ in range(3)),
+        key=lambda row: (row[0] - row[1]) / row[1],
+    )
+    bookkeeping_s = analysis_s - run_s
+    ratio = bookkeeping_s / run_s
+
+    print(f"\n=== Analysis bookkeeping: {len(apps)}-app corpus, serial "
+          f"raw appsim, {runs} runs ===")
+    print(f"analysis          : {analysis_s:6.3f}s")
+    print(f"inside backend.run: {run_s:6.3f}s "
+          f"({run_s / runs * 1e6:.1f} us/run)")
+    print(f"bookkeeping       : {bookkeeping_s:6.3f}s "
+          f"({bookkeeping_s / runs * 1e6:.1f} us/run, {ratio:.2f}x the runs)")
+
+    _RESULTS["bookkeeping"] = {
+        "apps": len(apps),
+        "runs_executed": runs,
+        "analysis_s": round(analysis_s, 3),
+        "run_s": round(run_s, 3),
+        "bookkeeping_us_per_run": round(bookkeeping_s / runs * 1e6, 1),
+        "bookkeeping_over_run": round(ratio, 2),
+    }
+    assert _digest(results) == _digest(reference)
+    # About 0.75 on a 2-vCPU Xeon (Python 3.11); a ratio is taken
+    # within one process, so host speed cancels out, and 1.0 leaves
+    # headroom for other runners while still catching bookkeeping that
+    # grows past the runs it wraps.
+    assert ratio <= 1.0, (
+        f"bookkeeping costs {ratio:.2f}x the time inside backend.run"
+    )
 
 
 @pytest.mark.parametrize("store_kind", ["jsonl", "sqlite"])

@@ -468,8 +468,9 @@ def envelope(
 def tag_app(emit: EventCallback, app: str) -> EventCallback:
     """Stamp *app* onto every event that lacks an identity.
 
-    The analyzer wraps its emitter with this so concurrent analyses
-    sharing one session callback stay attributable.
+    The analyzer wraps a listener with this so concurrent analyses
+    sharing one session callback stay attributable; an analysis
+    nobody listens to has nothing to stamp and skips it.
     """
 
     def tagged(event: AnalysisEvent) -> None:

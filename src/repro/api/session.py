@@ -684,7 +684,7 @@ class LoupeSession:
         app models. The OS baseline comes from the named Table-1
         profile unless *support_csv* points at a syscall-support CSV.
         """
-        from repro.appsim.corpus import cloud_apps, corpus
+        from repro.appsim.corpus import CLOUD_APPS, cloud_apps, corpus
         from repro.plans import SupportState, generate_plan, table1_states
 
         if apps == "cloud":
@@ -698,11 +698,11 @@ class LoupeSession:
             state = SupportState.load(support_csv, os_name=os_name)
         else:
             # The Table-1 baselines are always computed over the cloud
-            # set; reuse the requirements just gathered when that is
-            # what the caller targeted.
+            # set; reuse the requirements just gathered when they lead
+            # with it (``corpus()[:15]`` is the cloud set by contract).
             cloud_requirements = (
-                requirements
-                if apps == "cloud"
+                dict(list(requirements.items())[:len(CLOUD_APPS)])
+                if apps in ("cloud", "corpus")
                 else self._plan_requirements(cloud_apps(), workload)
             )
             states = table1_states(cloud_requirements)

@@ -354,7 +354,10 @@ class Analyzer:
         Progress surfaces on ``on_event`` as the typed events of
         :mod:`repro.api.events`.
         """
-        emit = on_event or (lambda _event: None)
+        # Events are tagged with their app only for a listener.
+        emit = tag_app(on_event, app or workload.name) if on_event else (
+            lambda _event: None
+        )
         try:
             return self._analyze(
                 backend, workload,
@@ -379,7 +382,6 @@ class Analyzer:
     ) -> AnalysisResult:
         config = self.config
         identity = app or workload.name
-        emit = tag_app(emit, identity)
         started = time.monotonic()
 
         def checkpoint() -> None:
@@ -466,6 +468,12 @@ class Analyzer:
             raise AnalysisError(
                 f"application fails the workload even without interposition: {reasons}"
             )
+        # Summarized once: every probe's impact is measured against it.
+        baseline_stats = BaselineStats(
+            metric=SampleStats.of(baseline.metric_samples),
+            fd=SampleStats.of(baseline.fd_samples),
+            mem=SampleStats.of(baseline.mem_samples),
+        )
 
         features = self._enumerate_features(baseline)
         emit(FeaturesEnumerated(
@@ -483,7 +491,7 @@ class Analyzer:
         checkpoint()
         if config.priors is None:
             probes = self._probe_features_batched(
-                backend, workload, ordered, baseline, emit,
+                backend, workload, ordered, baseline_stats, emit,
                 checkpoint=checkpoint,
             )
         else:
@@ -495,7 +503,7 @@ class Analyzer:
             for feature, count in ordered:
                 checkpoint()
                 probes[feature] = self._probe_feature(
-                    backend, workload, feature, count, baseline, emit,
+                    backend, workload, feature, count, baseline_stats, emit,
                     transfer_stats,
                 )
 
@@ -536,11 +544,7 @@ class Analyzer:
             backend=backend_name(backend),
             replicas=config.replicas,
             features={name: probe.to_report() for name, probe in probes.items()},
-            baseline=BaselineStats(
-                metric=SampleStats.of(baseline.metric_samples),
-                fd=SampleStats.of(baseline.fd_samples),
-                mem=SampleStats.of(baseline.mem_samples),
-            ),
+            baseline=baseline_stats,
             final_run_ok=final_ok,
             conflicts=conflicts,
             faults=tuple(faults),
@@ -572,7 +576,7 @@ class Analyzer:
         probe: _FeatureProbe,
         attribute: str,
         outcome: ProbeOutcome,
-        baseline: ProbeOutcome,
+        baseline: BaselineStats,
         workload: Workload,
     ) -> None:
         """Fold one probe outcome into the feature's stub/fake verdict.
@@ -622,7 +626,7 @@ class Analyzer:
         backend: ExecutionBackend,
         workload: Workload,
         ordered: Sequence[tuple[str, int]],
-        baseline: ProbeOutcome,
+        baseline: BaselineStats,
         emit: EventCallback,
         *,
         checkpoint: Callable[[], None] = lambda: None,
@@ -648,6 +652,7 @@ class Analyzer:
             # event granularity for keeping the workers fed.
             wave = max(32, 8 * self.engine.parallel)
         actions = (Action.STUB, Action.FAKE)
+        base = passthrough()
         probes: dict[str, _FeatureProbe] = {}
         for start in range(0, len(ordered), wave):
             if start:
@@ -658,7 +663,7 @@ class Analyzer:
                 checkpoint()
             subset = ordered[start:start + wave]
             policies = [
-                passthrough().with_feature(feature, action)
+                base.with_feature(feature, action)
                 for feature, _count in subset
                 for action in actions
             ]
@@ -687,7 +692,7 @@ class Analyzer:
         workload: Workload,
         feature: str,
         traced_count: int,
-        baseline: ProbeOutcome,
+        baseline: BaselineStats,
         emit: EventCallback,
         transfer_stats: "object | None" = None,
     ) -> _FeatureProbe:
@@ -735,16 +740,16 @@ class Analyzer:
         return probe
 
     def _impact(
-        self, baseline: ProbeOutcome, variant: ProbeOutcome, workload: Workload
+        self, baseline: BaselineStats, variant: ProbeOutcome, workload: Workload
     ) -> ImpactSummary:
         margin = self.config.metric_margin
         perf = None
         if workload.measures_performance and variant.metric_samples:
             perf = compare(
-                baseline.metric_samples, variant.metric_samples, margin=margin
+                baseline.metric, variant.metric_samples, margin=margin
             )
-        fd = compare(baseline.fd_samples, variant.fd_samples, margin=margin)
-        mem = compare(baseline.mem_samples, variant.mem_samples, margin=margin)
+        fd = compare(baseline.fd, variant.fd_samples, margin=margin)
+        mem = compare(baseline.mem, variant.mem_samples, margin=margin)
         return ImpactSummary(perf=perf, fd=fd, mem=mem)
 
     # -- stage 3 & 4: combined confirmation + automated bisection ------------

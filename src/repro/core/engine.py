@@ -504,7 +504,10 @@ class ProbeEngine:
         self.cache_enabled = cache
         self.cache_size = cache_size
         self.store = store
-        self.fault_policy = fault_policy
+        #: The active fault policy; an inactive one guards nothing.
+        self.fault_policy = (
+            fault_policy if fault_policy and fault_policy.active else None
+        )
         #: Fault-activity callback; reassignable (the analyzer points
         #: it at the live event stream for the duration of an analysis).
         self.notice_sink = on_notice
@@ -562,9 +565,8 @@ class ProbeEngine:
     def capabilities_for(self, backend: ExecutionBackend) -> BackendCapabilities:
         """The backend's capability descriptor, resolved once per object.
 
-        Memoizing here keeps the hot paths (`_cacheable` runs per
-        scheduled run) off the descriptor resolution. Cleared on
-        :meth:`reset`.
+        Memoizing here keeps scheduling calls off the descriptor
+        resolution. Cleared on :meth:`reset`.
         """
         capabilities = self._verdict(self._capability_cache, backend)
         if capabilities is None:
@@ -659,23 +661,14 @@ class ProbeEngine:
 
     # -- caching -----------------------------------------------------------
 
-    @staticmethod
-    def _key(
-        backend: ExecutionBackend,
-        workload: Workload,
-        policy: InterpositionPolicy,
-        replica: int,
-    ) -> CacheKey:
-        return (
-            backend_name(backend), workload.name,
-            policy.fingerprint(), replica,
-        )
-
-    def _cacheable(self, backend: ExecutionBackend) -> bool:
-        return (
-            self.cache_enabled
-            and self.capabilities_for(backend).deterministic
-        )
+    def _cache_prefix(
+        self, backend: ExecutionBackend, workload: Workload
+    ) -> "tuple[str, str] | None":
+        """A batch's cache-key head, ``(backend name, workload name)``,
+        or ``None`` when its runs may not be answered from a cache."""
+        if self.cache_enabled and self.capabilities_for(backend).deterministic:
+            return backend_name(backend), workload.name
+        return None
 
     def _evict_locked(self) -> None:
         while len(self._cache) > self.cache_size:
@@ -701,29 +694,21 @@ class ProbeEngine:
                 return persisted
         return None
 
-    def _record(
-        self,
-        key: "CacheKey | None",
-        result: RunResult,
-        policy: "InterpositionPolicy | None" = None,
+    def _memoize(
+        self, key: CacheKey, result: RunResult, policy: InterpositionPolicy
     ) -> None:
-        """Account one executed run; memoize it when *key* is cacheable.
+        """Remember one executed run; the caller counts it.
 
         The policy rides along to the persistent store so ``loupe
         cache verify`` can later re-execute the record (the key's
         fingerprint is lossy and cannot be reversed into a policy).
         """
         with self._lock:
-            self._executed += 1
-            if key is not None:
-                self._cache[key] = result
-                self._cache.move_to_end(key)
-                self._evict_locked()
-        if key is not None and self.store is not None:
-            self.store.put(
-                key, result,
-                policy=policy.to_dict() if policy is not None else None,
-            )
+            self._cache[key] = result
+            self._cache.move_to_end(key)
+            self._evict_locked()
+        if self.store is not None:
+            self.store.put(key, result, policy=policy.to_dict())
 
     # -- fault handling ----------------------------------------------------
 
@@ -737,21 +722,24 @@ class ProbeEngine:
             self._faulted += 1
         self._notify(FaultNotice(fault))
 
-    def _notify_retries(
+    def _guarded(
         self,
+        backend: ExecutionBackend,
         workload: Workload,
         policy: InterpositionPolicy,
         replica: int,
-        failures: Sequence[object],
-        recovered: bool,
-    ) -> None:
-        """Emit one RetryNotice per *retried* attempt.
+    ) -> "RunResult | ProbeFault":
+        """One run under the active fault policy.
 
-        On eventual success every recorded failure was retried; on an
-        exhausted outcome the last failure was terminal (it becomes
-        the FaultNotice instead).
+        Emits one RetryNotice per *retried* attempt: on an exhausted
+        outcome the last failure was terminal, and the run comes back
+        as its (accounted, notified) quarantine record under
+        ``on_fault="degrade"`` or raises :class:`ProbeFaultError`.
         """
-        retried = failures if recovered else failures[:-1]
+        guard = self.fault_policy
+        outcome = guarded_run(backend, workload, policy, replica, guard)
+        recovered = outcome.result is not None
+        retried = outcome.failures if recovered else outcome.failures[:-1]
         for attempt, failure in enumerate(retried, start=1):
             self._notify(RetryNotice(
                 workload=workload.name,
@@ -761,6 +749,13 @@ class ProbeEngine:
                 kind=failure.kind,
                 detail=failure.detail,
             ))
+        if recovered:
+            return outcome.result
+        fault = outcome.fault(workload, policy, replica)
+        self._account_fault(fault)
+        if not guard.degrade:
+            raise ProbeFaultError(fault)
+        return fault
 
     # -- the run API -------------------------------------------------------
 
@@ -782,52 +777,13 @@ class ProbeEngine:
         ``on_fault="degrade"`` — only probe outcomes (which can carry
         quarantined faults) support degradation.
         """
-        with self._lock:
-            self._requested += 1
-        out = self._one(backend, workload, policy, replica)
-        if isinstance(out, ProbeFault):
-            raise ProbeFaultError(out)
-        return out
-
-    def _one(
-        self,
-        backend: ExecutionBackend,
-        workload: Workload,
-        policy: InterpositionPolicy,
-        replica: int,
-    ) -> "RunResult | ProbeFault":
-        """Lookup-or-execute without touching ``runs_requested`` (the
-        scheduling entry points account for requests up front).
-
-        Returns the quarantine record instead of a result when the run
-        exhausted its fault budget under ``on_fault="degrade"`` (the
-        fault is already accounted and notified by then); raises
-        :class:`ProbeFaultError` under ``"fail"``.
-        """
-        key = None
-        if self._cacheable(backend):
-            key = self._key(backend, workload, policy, replica)
-            hit = self._lookup(key)
-            if hit is not None:
-                return hit
-        fault_policy = self.fault_policy
-        if fault_policy is None or not fault_policy.active:
-            result = backend.run(workload, policy, replica=replica)
-            self._record(key, result, policy)
-            return result
-        outcome = guarded_run(backend, workload, policy, replica, fault_policy)
-        self._notify_retries(
-            workload, policy, replica, outcome.failures,
-            recovered=outcome.result is not None,
+        outcome = self._serial_probe(
+            backend, workload, policy, range(replica, replica + 1), False,
+            self._cache_prefix(backend, workload),
         )
-        if outcome.result is not None:
-            self._record(key, outcome.result, policy)
-            return outcome.result
-        fault = outcome.fault(workload, policy, replica)
-        self._account_fault(fault)
-        if not fault_policy.degrade:
-            raise ProbeFaultError(fault)
-        return fault
+        if outcome.faults:
+            raise ProbeFaultError(outcome.faults[0])
+        return outcome.results[0]
 
     def run_replicas(
         self,
@@ -877,9 +833,11 @@ class ProbeEngine:
         if not policies:
             return []
         if self.mode_for(backend) == "serial":
+            cache_as = self._cache_prefix(backend, workload)
             return [
                 self._serial_probe(
-                    backend, workload, policy, replicas, early_exit
+                    backend, workload, policy, range(replicas), early_exit,
+                    cache_as,
                 )
                 for policy in policies
             ]
@@ -894,26 +852,51 @@ class ProbeEngine:
         backend: ExecutionBackend,
         workload: Workload,
         policy: InterpositionPolicy,
-        replicas: int,
+        replicas: range,
         early_exit: bool,
+        cache_as: "tuple[str, str] | None",
     ) -> ProbeOutcome:
-        with self._lock:
-            self._requested += replicas
+        """Run the *replicas* of one probe inline, in index order.
+
+        *cache_as* is the batch's :meth:`_cache_prefix`. The probe's
+        own counters are folded into one locked update at its end,
+        also when a run raises; hits are counted under the lock each
+        cache lookup takes anyway.
+        """
+        if cache_as is not None:
+            cache_as = (*cache_as, policy.fingerprint())
         results: list[RunResult] = []
         faults: list[ProbeFault] = []
-        for index in range(replicas):
-            out = self._one(backend, workload, policy, index)
-            if isinstance(out, ProbeFault):
-                # A fault is not a decision — later replicas still run
-                # (one of them may observe a genuine failure, which
-                # dominates; see replicas.aggregate).
-                faults.append(out)
-                continue
-            results.append(out)
-            if early_exit and not out.success:
-                with self._lock:
-                    self._skipped += replicas - index - 1
-                break
+        executed = skipped = 0
+        try:
+            for replica in replicas:
+                out = None
+                if cache_as is not None:
+                    key = (*cache_as, replica)
+                    out = self._lookup(key)
+                if out is None:
+                    if self.fault_policy is None:
+                        out = backend.run(workload, policy, replica=replica)
+                    else:
+                        out = self._guarded(backend, workload, policy, replica)
+                    if isinstance(out, ProbeFault):
+                        # A fault is not a decision: later replicas run
+                        # (one may observe a genuine failure, which
+                        # dominates; see replicas.aggregate).
+                        faults.append(out)
+                        continue
+                    executed += 1
+                    if cache_as is not None:
+                        self._memoize(key, out, policy)
+                results.append(out)
+                if early_exit and not out.success:
+                    skipped = replicas.stop - replica - 1
+                    break
+        finally:
+            with self._lock:
+                self._requested += len(replicas)
+                self._executed += executed
+                self._skipped += skipped
         return aggregate(results, faults=tuple(faults))
 
     def _pooled_batch(
@@ -924,7 +907,7 @@ class ProbeEngine:
         replicas: int,
         early_exit: bool,
     ) -> list[ProbeOutcome]:
-        cacheable = self._cacheable(backend)
+        cache_as = self._cache_prefix(backend, workload)
         with self._lock:
             self._requested += len(policies) * replicas
         collected: list[dict[int, RunResult]] = [{} for _ in policies]
@@ -937,8 +920,8 @@ class ProbeEngine:
                 if early_exit and failed[probe_index]:
                     break  # cached failure: siblings are never submitted
                 key = None
-                if cacheable:
-                    key = self._key(backend, workload, policy, replica)
+                if cache_as is not None:
+                    key = (*cache_as, policy.fingerprint(), replica)
                     hit = self._lookup(key)
                     if hit is not None:
                         collected[probe_index][replica] = hit
@@ -946,6 +929,7 @@ class ProbeEngine:
                             failed[probe_index] = True
                         continue
                 tasks.append((probe_index, replica, policy, key))
+        cached = sum(map(len, collected))
         if tasks:
             transport = _ProcessTransport(self.parallel)
             try:
@@ -963,12 +947,12 @@ class ProbeEngine:
         # failure — was skipped. Quarantined runs are accounted as
         # faults, so the ``requested == executed + hits + skipped +
         # faulted`` invariant holds.
-        obtained = sum(len(by_replica) for by_replica in collected)
-        obtained += sum(len(by_replica) for by_replica in faulted)
-        missing = len(policies) * replicas - obtained
-        if missing:
-            with self._lock:
-                self._skipped += missing
+        obtained = sum(map(len, collected))
+        with self._lock:
+            self._executed += obtained - cached
+            self._skipped += (
+                len(policies) * replicas - obtained - sum(map(len, faulted))
+            )
         return [
             aggregate(
                 [by_replica[index] for index in sorted(by_replica)],
@@ -1015,8 +999,6 @@ class ProbeEngine:
         quarantined under degrade, raised otherwise.
         """
         fault_policy = self.fault_policy
-        if fault_policy is not None and not fault_policy.active:
-            fault_policy = None
         per_chunk = max(
             1, -(-len(tasks) // (max(1, transport.width) * _CHUNKS_PER_WORKER))
         )
@@ -1061,8 +1043,9 @@ class ProbeEngine:
                         faulted[probe_index][replica] = row
                         continue
                     policy, key = runs[(probe_index, replica)]
-                    self._record(key, row, policy)
                     collected[probe_index][replica] = row
+                    if key is not None:
+                        self._memoize(key, row, policy)
             if not lost:
                 continue
             recoveries += 1

@@ -34,7 +34,6 @@ import math
 import os
 import random
 import time
-from collections.abc import Iterable
 
 from repro.core.policy import InterpositionPolicy
 from repro.core.runner import (
@@ -533,8 +532,3 @@ class ChaosBackend:
                 return
             os.close(fd)
         os._exit(139)
-
-
-def chaos_features(features: Iterable[str]) -> frozenset:
-    """Convenience: normalize an iterable of feature names for a spec."""
-    return frozenset(features)

@@ -37,7 +37,7 @@ class SampleStats:
         mean = sum(samples) / n
         if n == 1:
             return SampleStats(n=1, mean=mean, std=0.0)
-        variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
+        variance = sum([(x - mean) ** 2 for x in samples]) / (n - 1)
         return SampleStats(n=n, mean=mean, std=math.sqrt(variance))
 
     @property
@@ -88,7 +88,7 @@ class MetricComparison:
 
 
 def compare(
-    baseline_samples: Sequence[float],
+    baseline_samples: "Sequence[float] | SampleStats",
     variant_samples: Sequence[float],
     *,
     margin: float = DEFAULT_MARGIN,
@@ -98,9 +98,13 @@ def compare(
     A change is *significant* when the relative mean shift exceeds
     *margin* and Welch's statistic rejects equality (normal
     approximation; exact for the deterministic simulator, conservative
-    for small real-world replica counts).
+    for small real-world replica counts). The baseline may come
+    summarized: an analysis summarizes it once for all its probes.
     """
-    base = SampleStats.of(baseline_samples)
+    base = (
+        baseline_samples if isinstance(baseline_samples, SampleStats)
+        else SampleStats.of(baseline_samples)
+    )
     var = SampleStats.of(variant_samples)
     delta = relative_delta(base.mean, var.mean)
     beyond_margin = abs(delta) > margin

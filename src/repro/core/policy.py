@@ -150,17 +150,31 @@ class InterpositionPolicy:
 
     def with_feature(self, feature: str, action: Action) -> "InterpositionPolicy":
         """A copy of this policy with one extra feature assignment."""
-        if feature.startswith("/"):
-            merged = dict(self.pseudofile_actions)
-            merged[feature] = action
-            return dataclasses.replace(self, pseudofile_actions=merged)
-        if ":" in feature:
-            merged = dict(self.subfeature_actions)
-            merged[feature] = action
-            return dataclasses.replace(self, subfeature_actions=merged)
-        merged = dict(self.syscall_actions)
-        merged[feature] = action
-        return dataclasses.replace(self, syscall_actions=merged)
+        policy = self._with(((feature, action),))
+        if action is not Action.PASSTHROUGH:
+            # Seed the memo: every simulated run asks for it.
+            object.__setattr__(
+                policy, "_altered", self.altered_features() | {feature}
+            )
+        return policy
+
+    def _with(
+        self, assignments: Iterable[tuple[str, Action]]
+    ) -> "InterpositionPolicy":
+        """A copy with *assignments* applied in order. Only their keys
+        are validated: this policy's own were when it was built."""
+        fields = {f: dict(getattr(self, f)) for f in self.__dataclass_fields__}
+        for feature, action in assignments:
+            if feature.startswith("/"):
+                field = "pseudofile_actions"
+            else:
+                _validate_feature(feature)
+                field = "subfeature_actions" if ":" in feature else "syscall_actions"
+            fields[field][feature] = action
+        policy = object.__new__(type(self))
+        for name, mapping in fields.items():
+            object.__setattr__(policy, name, mapping)
+        return policy
 
     def altered_features(self) -> frozenset[str]:
         """Every feature this policy stubs or fakes (memoized, like
@@ -213,9 +227,9 @@ class InterpositionPolicy:
         overriding its parent syscall, a longer pseudo-path prefix
         overriding a shorter one). The three granularities are tagged
         so a syscall, a sub-feature and a pseudo-file path can never
-        collide. Memoized: policies are immutable (every derivation
-        goes through ``dataclasses.replace``), and probe engines ask
-        for the same policy's fingerprint once per replica.
+        collide. Memoized: policies are immutable (a derivation builds
+        a new policy and never touches this one), and probe engines ask
+        for the same policy's fingerprint once per probe.
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is not None:
@@ -313,14 +327,13 @@ def combined(
     Used by the analyzer's final confirmation run. A feature listed in
     both collections is a contradiction and raises :class:`PolicyError`.
     """
-    policy = passthrough()
     stub_set = set(stubs)
     fake_set = set(fakes)
     overlap = stub_set & fake_set
     if overlap:
         raise PolicyError(f"features both stubbed and faked: {sorted(overlap)}")
-    for feature in sorted(stub_set):
-        policy = policy.with_feature(feature, Action.STUB)
-    for feature in sorted(fake_set):
-        policy = policy.with_feature(feature, Action.FAKE)
-    return policy
+    # One pass, in the order a with_feature chain would assign them.
+    return passthrough()._with(
+        [(feature, Action.STUB) for feature in sorted(stub_set)]
+        + [(feature, Action.FAKE) for feature in sorted(fake_set)]
+    )

@@ -107,9 +107,9 @@ def aggregate(
         all_succeeded=bool(results)
         and not faults
         and all(r.success for r in results),
-        metric_samples=tuple(r.metric for r in results if r.metric is not None),
-        fd_samples=tuple(float(r.resources.fd_peak) for r in results),
-        mem_samples=tuple(float(r.resources.mem_peak_kb) for r in results),
+        metric_samples=tuple([r.metric for r in results if r.metric is not None]),
+        fd_samples=tuple([float(r.resources.fd_peak) for r in results]),
+        mem_samples=tuple([float(r.resources.mem_peak_kb) for r in results]),
         faults=faults,
     )
 

@@ -18,12 +18,16 @@ from repro.appsim.program import SimProgram, SyscallOp, WorkloadProfile
 from repro.core.analyzer import Analyzer, AnalyzerConfig
 from repro.core import engine as engine_module
 from repro.core.engine import EngineStats, ProbeEngine, _execute_chunk
+from repro.core.cachestore import open_store
 from repro.core.faults import (
     FAULT_WORKER_CRASH,
+    ChaosBackend,
+    ChaosSpec,
     FaultPolicy,
     PoolRecoveredNotice,
     ProbeFaultError,
     ProbeRunError,
+    guarded_run,
 )
 from repro.core.policy import (
     Action,
@@ -33,7 +37,7 @@ from repro.core.policy import (
     passthrough,
     stubbing,
 )
-from repro.core.replicas import run_replicas
+from repro.core.replicas import aggregate, run_replicas
 from repro.core.runner import BackendCapabilities, ResourceUsage, RunResult
 from repro.core.workload import benchmark, health_check
 
@@ -632,6 +636,137 @@ class TestProbeBatch:
         assert not outcomes[0].all_succeeded
         assert outcomes[1].all_succeeded
         assert outcomes[1].replica_count == 3
+
+
+def _expected_stats(policies, reference, replicas, *, cache, warm=False):
+    """The stats a serial batch must report for the plain-loop
+    *reference* outcomes: a repeated policy is an LRU hit (faulted
+    replicas are never cached, so they fault again); a warm store
+    answers every first occurrence."""
+    seen = set()
+    executed = hits = persistent = faulted = 0
+    for policy, outcome in zip(policies, reference):
+        obtained = len(outcome.results)
+        faulted += len(outcome.faults)
+        if cache and policy.fingerprint() in seen:
+            hits += obtained
+        elif warm:
+            hits += obtained
+            persistent += obtained
+        else:
+            executed += obtained
+        seen.add(policy.fingerprint())
+    requested = len(policies) * replicas
+    return EngineStats(
+        runs_requested=requested,
+        runs_executed=executed,
+        cache_hits=hits,
+        replicas_skipped=requested - executed - hits - faulted,
+        persistent_hits=persistent,
+        faulted=faulted,
+    )
+
+
+def _guarded_loop(backend, workload, policy, replicas, early_exit, guard):
+    """The plain replica loop under a fault policy: quarantine a run
+    that exhausts its attempts, stop at the first decided failure."""
+    results, faults = [], []
+    for replica in range(replicas):
+        outcome = guarded_run(backend, workload, policy, replica, guard)
+        if outcome.faulted:
+            faults.append(outcome.fault(workload, policy, replica))
+            continue
+        results.append(outcome.result)
+        if early_exit and not outcome.result.success:
+            break
+    return aggregate(results, faults=tuple(faults))
+
+
+def _fault_keys(outcome):
+    return [
+        (f.workload, f.probe, f.replica, f.kind, f.attempts, f.detail)
+        for f in outcome.faults
+    ]
+
+
+class TestSerialPathMatchesPlainLoop:
+    """The serial batch path resolves its per-batch facts once and
+    accounts once per probe; its outcomes and stats must still be
+    those of a plain ``replicas.run_replicas`` loop."""
+
+    #: Every verdict shape of the mixed program, and one repeat so the
+    #: LRU has something to answer.
+    POLICIES = [
+        stubbing("read"), faking("read"), stubbing("close"),
+        faking("close"), stubbing("uname"), faking("uname"),
+        stubbing("prctl"), faking("prctl"), stubbing("close"),
+    ]
+    WORKLOAD = benchmark("b", "m")
+
+    def _batch(self, engine, backend, early_exit):
+        return engine.run_probe_batch(
+            backend, self.WORKLOAD, self.POLICIES, 3, early_exit=early_exit
+        )
+
+    @pytest.mark.parametrize("early_exit", [True, False])
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_lru_on_and_off(self, cache, early_exit):
+        backend = SimBackend(_mixed_program())
+        reference = [
+            run_replicas(backend, self.WORKLOAD, policy, 3,
+                         early_exit=early_exit)
+            for policy in self.POLICIES
+        ]
+        engine = ProbeEngine(cache=cache)
+        assert self._batch(engine, backend, early_exit) == reference
+        assert engine.stats == _expected_stats(
+            self.POLICIES, reference, 3, cache=cache
+        )
+
+    @pytest.mark.parametrize("early_exit", [True, False])
+    @pytest.mark.parametrize("name", ["runs.jsonl", "runs.sqlite"])
+    def test_store_cold_and_warm(self, tmp_path, name, early_exit):
+        backend = SimBackend(_mixed_program())
+        reference = [
+            run_replicas(backend, self.WORKLOAD, policy, 3,
+                         early_exit=early_exit)
+            for policy in self.POLICIES
+        ]
+        for warm in (False, True):
+            with open_store(tmp_path / name) as store:
+                engine = ProbeEngine(store=store)
+                assert self._batch(engine, backend, early_exit) == reference
+            assert engine.stats == _expected_stats(
+                self.POLICIES, reference, 3, cache=True, warm=warm
+            ), warm
+
+    @pytest.mark.parametrize("early_exit", [True, False])
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_seeded_chaos_under_degrade(self, cache, early_exit):
+        backend = ChaosBackend(
+            SimBackend(_mixed_program()),
+            ChaosSpec(seed=11, error_rate=0.3),
+        )
+        guard = FaultPolicy(
+            retries=1, retry_backoff_s=0.0, on_fault="degrade"
+        )
+        reference = [
+            _guarded_loop(backend, self.WORKLOAD, policy, 3, early_exit,
+                          guard)
+            for policy in self.POLICIES
+        ]
+        assert any(outcome.faults for outcome in reference)
+        engine = ProbeEngine(cache=cache, fault_policy=guard)
+        outcomes = self._batch(engine, backend, early_exit)
+        assert [o.results for o in outcomes] == [
+            o.results for o in reference
+        ]
+        assert [_fault_keys(o) for o in outcomes] == [
+            _fault_keys(o) for o in reference
+        ]
+        assert engine.stats == _expected_stats(
+            self.POLICIES, reference, 3, cache=cache
+        )
 
 
 class _FakeTransport:

@@ -184,6 +184,92 @@ class TestMemoizedSummaries:
         assert policy.altered_features() == frozenset()
 
 
+#: Feature keys of every granularity, including pseudo-file prefixes
+#: that nest (the longest prefix wins) and an explicit trailing slash.
+FEATURES = [
+    "read", "write", "futex", "close", "fcntl", "ioctl",
+    "fcntl:F_SETFD", "fcntl:F_GETFL", "ioctl:TCGETS",
+    "/proc", "/proc/self", "/proc/self/", "/dev/random",
+]
+feature_names = st.sampled_from(FEATURES)
+actions = st.sampled_from(list(Action))
+
+
+def _built(assignments):
+    """The policy the constructor builds from *assignments*, applied
+    in order (a later assignment of a key replaces the earlier one)."""
+    fields = {"syscall_actions": {}, "subfeature_actions": {},
+              "pseudofile_actions": {}}
+    for feature, action in assignments:
+        if feature.startswith("/"):
+            field = "pseudofile_actions"
+        elif ":" in feature:
+            field = "subfeature_actions"
+        else:
+            field = "syscall_actions"
+        fields[field][feature] = action
+    return InterpositionPolicy(**fields)
+
+
+def _assert_same_policy(derived, built):
+    assert derived == built
+    assert derived.fingerprint() == built.fingerprint()
+    assert derived.describe() == built.describe()
+    assert derived.to_dict() == built.to_dict()
+    assert derived.altered_features() == built.altered_features()
+    for name in FEATURES + [
+        "/proc/self/status", "/dev/null", "fcntl:F_DUPFD",
+    ]:
+        assert derived.action_for_feature(name) is \
+            built.action_for_feature(name), name
+
+
+class TestDerivationMatchesConstructor:
+    """``with_feature`` and ``combined`` skip re-validating the keys a
+    policy already holds; what they build must still equal the policy
+    the validating constructor builds from the same assignments."""
+
+    @given(
+        st.lists(st.tuples(feature_names, actions), max_size=5),
+        st.lists(st.tuples(feature_names, actions), max_size=6),
+    )
+    def test_with_feature_chain(self, initial, steps):
+        base = _built(initial)
+        before = (base.to_dict(), base.fingerprint(), base.describe())
+        derived = base
+        for feature, action in steps:
+            derived = derived.with_feature(feature, action)
+        _assert_same_policy(derived, _built(initial + steps))
+        # The base is never mutated, memos included.
+        assert (base.to_dict(), base.fingerprint(), base.describe()) == before
+        assert base == _built(initial)
+
+    @given(st.sets(feature_names, max_size=5), st.sets(feature_names, max_size=5))
+    def test_combined(self, stubs, fakes):
+        fakes = fakes - stubs
+        policy = combined(stubs=stubs, fakes=fakes)
+        steps = [(f, Action.STUB) for f in sorted(stubs)]
+        steps += [(f, Action.FAKE) for f in sorted(fakes)]
+        _assert_same_policy(policy, _built(steps))
+        chained = passthrough()
+        for feature, action in steps:
+            chained = chained.with_feature(feature, action)
+        _assert_same_policy(policy, chained)
+
+    @pytest.mark.parametrize("feature", ["notasyscall", "bogus:OP"])
+    def test_unknown_syscall_error_is_unchanged(self, feature):
+        with pytest.raises(PolicyError) as built:
+            _built([(feature, Action.STUB)])
+        with pytest.raises(PolicyError) as derived:
+            stubbing("read").with_feature(feature, Action.STUB)
+        with pytest.raises(PolicyError) as joined:
+            combined(stubs=["read"], fakes=[feature])
+        assert str(derived.value) == str(built.value) == str(joined.value)
+        assert str(built.value) == (
+            f"policy references unknown syscall {feature.split(':')[0]!r}"
+        )
+
+
 class TestFakeStrategies:
     def test_paper_motivated_strategies(self):
         assert fake_strategy("brk") is FakeStrategy.FIRST_ARG
