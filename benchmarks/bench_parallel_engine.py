@@ -33,7 +33,9 @@ executors and both cache tiers:
   (the ratio lands in the JSON as ``compaction.ratio``).
 * **bookkeeping** — a serial analysis of the corpus must spend less
   time around its runs (analyzer and engine bookkeeping) than inside
-  ``backend.run`` (``bookkeeping.bookkeeping_over_run``).
+  ``backend.run`` (``bookkeeping.bookkeeping_over_run``), and must
+  walk the program fewer times than it executes runs: the replicas of
+  a probe share one walk (``bookkeeping.evaluations``).
 * **timed campaign** — a probe timeout that never fires must cost at
   most 2x an untimed serial campaign, with byte-identical reports:
   a timed run stops at its deadline on the caller's thread, so no
@@ -59,6 +61,7 @@ from repro.api.session import AnalysisRequest, LoupeSession
 from repro.appsim.backend import SimBackend
 from repro.appsim.behavior import abort, breaks_core, fallback, harmless, ignore
 from repro.appsim.program import SimProgram, SyscallOp, WorkloadProfile
+from repro.appsim.runtime import SimProcess
 from repro.core.analyzer import Analyzer, AnalyzerConfig
 from repro.core.engine import EngineStats
 from repro.core.workload import health_check
@@ -310,10 +313,11 @@ class _TimedBackend:
             self.run_s += time.perf_counter() - started
 
 
-def test_analysis_bookkeeping_per_run(seven_app_set):
+def test_analysis_bookkeeping_per_run(seven_app_set, monkeypatch):
     """The analyzer and engine bookkeeping around each appsim run: a
     serial analysis of the corpus against the time spent inside
-    ``backend.run``. Best of three campaigns."""
+    ``backend.run``. Best of three campaigns. The untimed reference
+    campaign counts the op walks (``SimProcess._evaluate`` calls)."""
     apps = _reduced(seven_app_set)
 
     def campaign():
@@ -333,9 +337,18 @@ def test_analysis_bookkeeping_per_run(seven_app_set):
             runs += analyzer.engine.stats.runs_executed
         return analysis_s, run_s, runs, results
 
-    reference, _, _ = _analyze_corpus(
+    walks = []
+    evaluate = SimProcess._evaluate
+    monkeypatch.setattr(
+        SimProcess, "_evaluate",
+        lambda process, plan, policy: walks.append(None)
+        or evaluate(process, plan, policy),
+    )
+    reference, reference_stats, _ = _analyze_corpus(
         apps, "bench", parallel=1, cache=True, early_exit=True,
     )
+    monkeypatch.undo()
+    evaluations = len(walks)
     analysis_s, run_s, runs, results = min(
         (campaign() for _ in range(3)),
         key=lambda row: (row[0] - row[1]) / row[1],
@@ -350,17 +363,24 @@ def test_analysis_bookkeeping_per_run(seven_app_set):
           f"({run_s / runs * 1e6:.1f} us/run)")
     print(f"bookkeeping       : {bookkeeping_s:6.3f}s "
           f"({bookkeeping_s / runs * 1e6:.1f} us/run, {ratio:.2f}x the runs)")
+    print(f"op walks          : {evaluations} for "
+          f"{reference_stats.runs_executed} executed runs")
 
     _RESULTS["bookkeeping"] = {
         "apps": len(apps),
         "runs_executed": runs,
+        "evaluations": evaluations,
         "analysis_s": round(analysis_s, 3),
         "run_s": round(run_s, 3),
         "bookkeeping_us_per_run": round(bookkeeping_s / runs * 1e6, 1),
         "bookkeeping_over_run": round(ratio, 2),
     }
     assert _digest(results) == _digest(reference)
-    # About 0.75 on a 2-vCPU Xeon (Python 3.11); a ratio is taken
+    assert reference_stats.runs_executed == runs
+    assert evaluations < runs, (
+        f"{evaluations} op walks for {runs} runs: replicas share no walk"
+    )
+    # About 0.85 on a 2-vCPU Xeon (Python 3.11); a ratio is taken
     # within one process, so host speed cancels out, and 1.0 leaves
     # headroom for other runners while still catching bookkeeping that
     # grows past the runs it wraps.

@@ -30,8 +30,8 @@ class SimBackend:
         #: metric noise is a hash of the run identity), so the probe
         #: engine may answer repeats from its run cache.
         self.deterministic = True
-        #: Runs share no state (SimProcess keeps all run state local),
-        #: so replicas may execute concurrently.
+        #: Runs share only SimProcess's memos of immutable values, which
+        #: concurrent runs fill idempotently, so replicas may overlap.
         self.parallel_safe = True
         #: The whole backend is plain picklable data (a SimProgram of
         #: frozen dataclasses), so runs may be sharded out to worker

@@ -20,6 +20,7 @@ libc, resilience strictness, and a long tail of rare syscalls.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections.abc import Callable
 
@@ -400,12 +401,17 @@ def _extra_apps() -> list[App]:
 
 
 def corpus(size: int = CORPUS_SIZE) -> list[App]:
-    """The full application corpus.
+    """The full application corpus, as a fresh list of shared apps.
 
     Hand-built cloud apps first (so ``corpus()[:15]`` is always the
     Table 1 set), then the extra hand-built apps, then deterministic
-    synthetics up to *size*.
+    synthetics up to *size*, built once per size per process.
     """
+    return list(_corpus(size))
+
+
+@functools.cache
+def _corpus(size: int) -> tuple[App, ...]:
     apps = cloud_apps()
     if size > len(apps):
         apps += _extra_apps()
@@ -413,4 +419,4 @@ def corpus(size: int = CORPUS_SIZE) -> list[App]:
     while len(apps) < size:
         apps.append(_synthetic_app(index))
         index += 1
-    return apps[:size]
+    return tuple(apps[:size])

@@ -45,6 +45,17 @@ the op-by-op walk, floats bit for bit. Invariants:
   writes) never share state;
 * the memo is not pickled: a backend shipped to a worker process is
   the same size cold or warm, and the worker rebuilds plans lazily.
+
+One walk per probe. Only the metric noise depends on the replica, so
+the engine's back-to-back replicas of one probe repeat one walk. A
+one-entry memo keeps the last walk's outcome (its trace, success,
+failure reason and shifts) keyed by ``(features exercised, policy
+fingerprint)``: the fingerprint means "acts identically", as it does
+for the run caches. Each replica adds only its noise, its resources
+and a fresh :class:`RunResult` with fresh counters, copied from the
+memo's read-only views in the walk's key order. The memo is one tuple
+of immutable values, read and replaced whole, so threads need no lock;
+like the plans, it is not pickled.
 """
 
 from __future__ import annotations
@@ -52,6 +63,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from collections import Counter
+from types import MappingProxyType
 
 from repro.appsim.behavior import FakeKind, StubKind
 from repro.appsim.program import SimProgram, SyscallOp
@@ -149,9 +161,12 @@ class SimProcess:
         self.program = program
         self._known = program.features | {"core"}
         self._plans: dict[frozenset[str], _Plan] = {}
+        #: The last walk: its key, then its replica-independent outcome.
+        self._walk: tuple = (None,)
 
-    # The plans rebuild lazily, so a pickled process (a backend shipped
-    # in a process-pool chunk) is the same size cold or warm.
+    # The plans and the last walk rebuild lazily, so a pickled process
+    # (a backend shipped in a process-pool chunk) is the same size cold
+    # or warm.
     def __getstate__(self) -> dict:
         return {"program": self.program}
 
@@ -179,20 +194,31 @@ class SimProcess:
                 f"{sorted(unknown)} unknown to {self.program.name}"
             )
 
-        plan = self._plans.get(exercised)
-        if plan is None:
-            plan = self._plans[exercised] = _Plan(self.program.ops, exercised)
-        state = self._evaluate(plan, policy)
-
-        success = not state.aborted and all(
-            state.health[feature] for feature in exercised
-        )
-        failure_reason = None
-        if state.aborted:
-            failure_reason = state.abort_reason
-        elif not success:
-            broken = sorted(f for f in exercised if not state.health[f])
-            failure_reason = f"broken feature(s): {', '.join(broken)}"
+        key = (exercised, policy.fingerprint())
+        walk = self._walk
+        if walk[0] == key:
+            traced, pseudo_files = Counter(walk[1].copy()), Counter(walk[2].copy())
+        else:
+            plan = self._plans.get(exercised)
+            if plan is None:
+                plan = self._plans[exercised] = _Plan(self.program.ops, exercised)
+            state = self._evaluate(plan, policy)
+            success = not state.aborted and all(
+                state.health[feature] for feature in exercised
+            )
+            failure_reason = None
+            if state.aborted:
+                failure_reason = state.abort_reason
+            elif not success:
+                broken = sorted(f for f in exercised if not state.health[f])
+                failure_reason = f"broken feature(s): {', '.join(broken)}"
+            traced, pseudo_files = state.traced, state.pseudo_files
+            walk = self._walk = (
+                key, MappingProxyType(dict(traced)),
+                MappingProxyType(dict(pseudo_files)), success, failure_reason,
+                state.perf_factor, state.fd_frac, state.mem_frac,
+            )
+        _, _, _, success, failure_reason, perf_factor, fd_frac, mem_frac = walk
 
         profile = self.program.profile(workload.name)
         metric = None
@@ -204,16 +230,16 @@ class SimProcess:
                 str(replica),
                 scale=profile.noise,
             )
-            metric = profile.metric * state.perf_factor * (1.0 + noise)
+            metric = profile.metric * perf_factor * (1.0 + noise)
 
         resources = ResourceUsage(
-            fd_peak=max(0, round(profile.fd_peak * (1.0 + state.fd_frac))),
-            mem_peak_kb=max(0, round(profile.mem_peak_kb * (1.0 + state.mem_frac))),
+            fd_peak=max(0, round(profile.fd_peak * (1.0 + fd_frac))),
+            mem_peak_kb=max(0, round(profile.mem_peak_kb * (1.0 + mem_frac))),
         )
         return RunResult(
             success=success,
-            traced=state.traced,
-            pseudo_files=state.pseudo_files,
+            traced=traced,
+            pseudo_files=pseudo_files,
             metric=metric,
             resources=resources,
             exit_code=0 if success else 1,

@@ -31,7 +31,7 @@ boundaries; outcomes are folded back deterministically in feature
 order, keeping reports byte-identical to a serial run.
 
 Progress is reported as the typed event stream of
-:mod:`repro.api.events` (``on_event=``).
+:mod:`repro.api.events` (``on_event=``), built only for a listener.
 
 How a backend may be scheduled — cached, overlapped, process-sharded —
 is decided entirely by its capability contract
@@ -354,10 +354,9 @@ class Analyzer:
         Progress surfaces on ``on_event`` as the typed events of
         :mod:`repro.api.events`.
         """
-        # Events are tagged with their app only for a listener.
-        emit = tag_app(on_event, app or workload.name) if on_event else (
-            lambda _event: None
-        )
+        # Events are built, and tagged with their app, only for a
+        # listener: ``emit`` is None for an analysis nobody listens to.
+        emit = tag_app(on_event, app or workload.name) if on_event else None
         try:
             return self._analyze(
                 backend, workload,
@@ -378,7 +377,7 @@ class Analyzer:
         *,
         app: str,
         app_version: str,
-        emit: EventCallback,
+        emit: EventCallback | None,
     ) -> AnalysisResult:
         config = self.config
         identity = app or workload.name
@@ -401,12 +400,13 @@ class Analyzer:
                 return
             reason = verdict if isinstance(verdict, str) else "cancelled"
             stats = self.engine.stats
-            emit(EngineStatsEvent.from_stats(
-                stats, executor=self.engine.mode_for(backend)
-            ))
-            emit(AnalysisCancelled(
-                duration_s=time.monotonic() - started, reason=reason
-            ))
+            if emit is not None:
+                emit(EngineStatsEvent.from_stats(
+                    stats, executor=self.engine.mode_for(backend)
+                ))
+                emit(AnalysisCancelled(
+                    duration_s=time.monotonic() - started, reason=reason
+                ))
             raise AnalysisCancelledError(identity, stats=stats)
 
         # One analysis == one application build: drop run results (and
@@ -417,7 +417,8 @@ class Analyzer:
         # quarantines, pool rebuilds) on the event stream. The sink is
         # detached in analyze()'s finally so a dangling emit can never
         # outlive its campaign.
-        self.engine.notice_sink = lambda notice: _emit_notice(emit, notice)
+        if emit is not None:
+            self.engine.notice_sink = lambda notice: _emit_notice(emit, notice)
         # A config asking for observations the backend's contract says
         # it cannot produce deserves a signal, not silent empty sets.
         # Only *explicit* contracts are trusted to mean "no": a
@@ -442,14 +443,16 @@ class Analyzer:
                         stacklevel=3,
                     )
 
-        emit(AnalysisStarted(
-            app=identity,
-            workload=workload.name,
-            backend=backend_name(backend),
-            replicas=config.replicas,
-        ))
+        if emit is not None:
+            emit(AnalysisStarted(
+                app=identity,
+                workload=workload.name,
+                backend=backend_name(backend),
+                replicas=config.replicas,
+            ))
         checkpoint()
-        emit(BaselineStarted(replicas=config.replicas))
+        if emit is not None:
+            emit(BaselineStarted(replicas=config.replicas))
         # The baseline never early-exits: on failure the error below
         # reports every replica's reason (and success runs them all
         # anyway), matching the pre-engine diagnostics.
@@ -476,9 +479,10 @@ class Analyzer:
         )
 
         features = self._enumerate_features(baseline)
-        emit(FeaturesEnumerated(
-            count=len(features), features=tuple(sorted(features))
-        ))
+        if emit is not None:
+            emit(FeaturesEnumerated(
+                count=len(features), features=tuple(sorted(features))
+            ))
 
         transfer_stats = None
         if config.priors is not None:
@@ -519,7 +523,7 @@ class Analyzer:
         for probe in probes.values():
             faults.extend(probe.faults)
         faults.extend(combined_faults)
-        if faults:
+        if faults and emit is not None:
             kinds: dict[str, int] = {}
             for fault in faults:
                 kinds[fault.kind] = kinds.get(fault.kind, 0) + 1
@@ -529,13 +533,14 @@ class Analyzer:
                 faults=tuple(fault.to_dict() for fault in faults),
             ))
 
-        emit(EngineStatsEvent.from_stats(
-            # mode_for, not executor_name: the event reports what this
-            # backend's runs actually got after capability fallback
-            # (ptrace under --executor process still says "serial").
-            self.engine.stats, executor=self.engine.mode_for(backend)
-        ))
-        emit(AnalysisFinished(duration_s=time.monotonic() - started))
+        if emit is not None:
+            emit(EngineStatsEvent.from_stats(
+                # mode_for, not executor_name: what this backend's runs
+                # got after capability fallback (ptrace under
+                # --executor process still says "serial").
+                self.engine.stats, executor=self.engine.mode_for(backend)
+            ))
+            emit(AnalysisFinished(duration_s=time.monotonic() - started))
         return AnalysisResult(
             app=identity,
             app_version=app_version,
@@ -627,7 +632,7 @@ class Analyzer:
         workload: Workload,
         ordered: Sequence[tuple[str, int]],
         baseline: BaselineStats,
-        emit: EventCallback,
+        emit: EventCallback | None,
         *,
         checkpoint: Callable[[], None] = lambda: None,
     ) -> dict[str, _FeatureProbe]:
@@ -677,12 +682,13 @@ class Analyzer:
                     self._apply_verdict(
                         probe, attribute, next(outcomes), baseline, workload
                     )
-                emit(FeatureProbed(
-                    feature=feature,
-                    can_stub=probe.can_stub,
-                    can_fake=probe.can_fake,
-                    traced_count=count,
-                ))
+                if emit is not None:
+                    emit(FeatureProbed(
+                        feature=feature,
+                        can_stub=probe.can_stub,
+                        can_fake=probe.can_fake,
+                        traced_count=count,
+                    ))
                 probes[feature] = probe
         return probes
 
@@ -693,7 +699,7 @@ class Analyzer:
         feature: str,
         traced_count: int,
         baseline: BaselineStats,
-        emit: EventCallback,
+        emit: EventCallback | None,
         transfer_stats: "object | None" = None,
     ) -> _FeatureProbe:
         probe = _FeatureProbe(feature=feature, traced_count=traced_count)
@@ -731,12 +737,13 @@ class Analyzer:
             self._apply_verdict(probe, attribute, outcome, baseline, workload)
         if fast_pathed and transfer_stats is not None:
             transfer_stats.features_fast_pathed += 1
-        emit(FeatureProbed(
-            feature=feature,
-            can_stub=probe.can_stub,
-            can_fake=probe.can_fake,
-            traced_count=traced_count,
-        ))
+        if emit is not None:
+            emit(FeatureProbed(
+                feature=feature,
+                can_stub=probe.can_stub,
+                can_fake=probe.can_fake,
+                traced_count=traced_count,
+            ))
         return probe
 
     def _impact(
@@ -766,7 +773,7 @@ class Analyzer:
         backend: ExecutionBackend,
         workload: Workload,
         probes: dict[str, _FeatureProbe],
-        emit: EventCallback,
+        emit: EventCallback | None,
         *,
         checkpoint: Callable[[], None] = lambda: None,
     ) -> tuple[bool, tuple[tuple[str, ...], ...], tuple[ProbeFault, ...]]:
@@ -777,20 +784,20 @@ class Analyzer:
             policy = self._combined_policy(probes)
             avoided = sorted(policy.altered_features())
             if not avoided:
-                emit(CombinedRunFinished(
-                    ok=True, avoided=0, round=round_index + 1
-                ))
+                if emit is not None:
+                    emit(CombinedRunFinished(
+                        ok=True, avoided=0, round=round_index + 1
+                    ))
                 return True, tuple(all_conflicts), tuple(faults)
             outcome = self._run(backend, workload, policy, self.config.replicas)
             faults.extend(outcome.faults)
-            if outcome.all_succeeded:
+            if emit is not None:
                 emit(CombinedRunFinished(
-                    ok=True, avoided=len(avoided), round=round_index + 1
+                    ok=outcome.all_succeeded, avoided=len(avoided),
+                    round=round_index + 1,
                 ))
+            if outcome.all_succeeded:
                 return True, tuple(all_conflicts), tuple(faults)
-            emit(CombinedRunFinished(
-                ok=False, avoided=len(avoided), round=round_index + 1
-            ))
             if outcome.undecided:
                 # The combined run faulted without a genuine failure:
                 # there is no observed conflict to bisect, and ddmin on
@@ -804,7 +811,8 @@ class Analyzer:
             )
             if not conflict:
                 return False, tuple(all_conflicts), tuple(faults)
-            emit(ConflictBisected(round=round_index + 1, conflict=conflict))
+            if emit is not None:
+                emit(ConflictBisected(round=round_index + 1, conflict=conflict))
             all_conflicts.append(conflict)
             for feature in conflict:
                 probe = probes[feature]

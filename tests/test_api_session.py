@@ -560,6 +560,26 @@ class TestPlan:
         assert len(counted_runs) > analyzed  # the fresh plan analyzed
         assert render_plan(plan) == render_plan(fresh)
 
+    def test_corpus_plan_builds_no_app_model(self, counted_runs, monkeypatch):
+        """After the corpus is analyzed, its plan builds no app model
+        and runs nothing: the models are built once per process."""
+        import importlib
+
+        corpus_module = importlib.import_module("repro.appsim.corpus")
+        session = LoupeSession()
+        session.analyze_many(corpus_module.corpus())
+        analyzed = len(counted_runs)
+        built = []
+        synthetic_app = corpus_module._synthetic_app
+        monkeypatch.setattr(
+            corpus_module, "_synthetic_app",
+            lambda index: built.append(index) or synthetic_app(index),
+        )
+        plan = session.plan(apps="corpus")
+        assert built == []
+        assert len(counted_runs) == analyzed
+        assert plan.steps
+
     def test_plan_keeps_records_of_other_semantics(self, counted_runs):
         """A replicas=5 session's records answer nothing for the
         replicas=3 planner, and survive its analyses untouched."""

@@ -51,6 +51,17 @@ class TestDeterminism:
             assert a.program.static_extra == b.program.static_extra
             assert a.year == b.year
 
+    def test_each_call_returns_a_fresh_list_of_the_same_apps(self):
+        first = corpus()
+        names = [app.name for app in first]
+        first.reverse()
+        first.pop()
+        first.append(build("redis"))
+        second = corpus()
+        assert second is not first
+        assert [app.name for app in second] == names
+        assert all(a is b for a, b in zip(second, corpus(), strict=True))
+
 
 class TestAggregateCalibration:
     def test_traced_union_near_180(self, bench_results):

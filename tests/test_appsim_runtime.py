@@ -496,8 +496,10 @@ class TestPlanMemoBoundaries:
         cold = len(pickle.dumps(backend))
         result = Analyzer().analyze(backend, app.bench)
         assert result.final_run_ok and result.features
+        assert backend._process._plans and backend._process._walk[0] is not None
         assert len(pickle.dumps(backend)) == cold
         clone = pickle.loads(pickle.dumps(backend))
+        assert not clone._process._plans and clone._process._walk == (None,)
         assert_same_run(
             clone.run(app.bench, passthrough()), backend.run(app.bench, passthrough())
         )
@@ -517,16 +519,102 @@ class TestPlanMemoBoundaries:
         policies = [passthrough(), combined(stubs=["brk", "mmap"])]
         for feature in sorted(baseline.features(subfeature_level=True)):
             policies += [stubbing(feature), faking(feature)]
-        serial = [SimBackend(app.program).run(app.bench, p) for p in policies]
+        # Three replicas per probe: the threads keep replacing each
+        # other's one-entry walk memo between the replicas of a probe.
+        runs = [(p, replica) for p in policies for replica in range(3)]
+        reference = SimProcess(app.program)
+        serial = [
+            reference_run(reference, app.bench, p, replica=replica)
+            for p, replica in runs
+        ]
         shared = SimBackend(app.program)
         barrier = threading.Barrier(4, timeout=30)
 
         def worker():
             barrier.wait()
-            return [shared.run(app.bench, p) for p in policies]
+            return [shared.run(app.bench, p, replica=replica) for p, replica in runs]
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             outcomes = [pool.submit(worker) for _ in range(4)]
             for outcome in outcomes:
                 for actual, expected in zip(outcome.result(timeout=60), serial, strict=True):
                     assert_same_run(actual, expected)
+
+
+class TestReplicaMemo:
+    """Back-to-back replicas of one probe share one walk. Every run must
+    still equal a fresh process's, whatever order the runs come in."""
+
+    @staticmethod
+    def _replay(program, runs):
+        """Run each ``(workload, policy, replica)`` of *runs* on one
+        shared process and on a fresh one; return the shared process's
+        results, which share no counter, and how many walks it made."""
+        shared = SimProcess(program)
+        walks = []
+        evaluate = shared._evaluate
+        shared._evaluate = lambda plan, policy: walks.append(policy) or evaluate(plan, policy)
+        results = []
+        for workload, policy, replica in runs:
+            run = shared.run(workload, policy, replica=replica)
+            assert_same_run(run, SimProcess(program).run(workload, policy, replica=replica))
+            results.append(run)
+        counters = [id(c) for run in results for c in (run.traced, run.pseudo_files)]
+        assert len(set(counters)) == len(counters)
+        return results, len(walks)
+
+    def test_interleaved_probes(self):
+        app = next(app for app in _CORPUS if app.name == "redis")
+        a, b = stubbing("getpid"), faking("brk")
+        runs = [(app.bench, a, 0), (app.bench, a, 1), (app.bench, b, 0),
+                (app.bench, a, 2), (app.bench, b, 1)]
+        results, walks = self._replay(app.program, runs)
+        assert walks == 4  # A0 A1 share a walk; B0, A2 and B1 each make one
+        assert len({run.metric for run in results}) == len(results)
+
+    def test_workloads_of_one_program(self):
+        app = next(app for app in _CORPUS if app.name == "app-000")
+        bench, suite, health = (app.workloads[name] for name in ("bench", "suite", "health"))
+        assert bench.features_exercised != suite.features_exercised
+        assert bench.features_exercised == health.features_exercised
+        policy = stubbing("getpid")
+        runs = [(bench, policy, 0), (suite, policy, 0), (bench, policy, 1),
+                (health, policy, 0), (suite, policy, 1), (suite, policy, 2)]
+        results, walks = self._replay(app.program, runs)
+        # The suite runs ops the bench does not; the health check shares
+        # the bench's walk but keeps its own profile.
+        assert walks == 4
+        assert results[0].traced != results[1].traced
+        assert results[3].traced == results[2].traced
+        assert results[3].resources != results[2].resources
+
+    def test_distinct_but_equal_policies(self):
+        app = next(app for app in _CORPUS if app.name == "nginx")
+        policies = [
+            stubbing("getpid"),
+            passthrough().with_feature("getpid", Action.STUB),
+            stubbing("getpid").with_feature("write", Action.PASSTHROUGH),
+        ]
+        assert len({policy.fingerprint() for policy in policies}) == 1
+        runs = [(app.bench, policy, replica)
+                for replica in range(2) for policy in policies]
+        _, walks = self._replay(app.program, runs)
+        assert walks == 1
+
+    def test_shadowing_passthrough_is_another_walk(self):
+        program = _program(
+            [
+                _op("fcntl", subfeature="F_GETFL", on_stub=abort()),
+                _op("fcntl", subfeature="F_SETFD"),
+                _op("write"),
+            ]
+        )
+        coarse = stubbing("fcntl")
+        shadowed = coarse.with_feature("fcntl:F_GETFL", Action.PASSTHROUGH)
+        assert coarse.fingerprint() != shadowed.fingerprint()
+        workload = benchmark("bench", metric_name="ops/s")
+        runs = [(workload, coarse, 0), (workload, shadowed, 0),
+                (workload, coarse, 1), (workload, shadowed, 1)]
+        results, walks = self._replay(program, runs)
+        assert walks == 4
+        assert [run.success for run in results] == [False, True, False, True]
