@@ -106,7 +106,8 @@ class _Plan:
     ``ops`` is the program with the ``when`` filter applied. Every
     feature key (a syscall, a ``syscall:OP``, a pseudo-file path) maps
     to the positions of the ops it may alter, and the passthrough trace
-    of any op range is memoized as insertion-ordered item tuples.
+    of any op range is memoized as two insertion-ordered counters that
+    are never mutated.
     """
 
     def __init__(self, ops: tuple[SyscallOp, ...], exercised: frozenset[str]) -> None:
@@ -121,7 +122,7 @@ class _Plan:
                 by_path.setdefault(op.path, []).append(position)
         self._by_feature = {key: tuple(at) for key, at in by_feature.items()}
         self._by_path = tuple((path, tuple(at)) for path, at in by_path.items())
-        self._deltas: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+        self._deltas: dict[tuple[int, int], tuple[Counter, Counter]] = {}
 
     def affected(self, altered: frozenset[str]) -> list[int]:
         """Ascending positions of the ops a policy altering *altered*
@@ -140,18 +141,17 @@ class _Plan:
 
     def trace(self, start: int, end: int, state: _RunState) -> None:
         """Add the trace ``ops[start:end]`` leave in *state*, memoized
-        per range as ``(traced, pseudo_files)`` item tuples."""
+        per range as ``(traced, pseudo_files)`` counters."""
         key = (start, end)
         delta = self._deltas.get(key)
         if delta is None:
             scratch = _RunState()
             for op in self.ops[start:end]:
                 SimProcess._trace(op, scratch)
-            delta = (tuple(scratch.traced.items()), tuple(scratch.pseudo_files.items()))
-            self._deltas[key] = delta
+            delta = self._deltas[key] = (scratch.traced, scratch.pseudo_files)
         traced, pseudo_files = delta
-        state.traced.update(dict(traced))
-        state.pseudo_files.update(dict(pseudo_files))
+        state.traced.update(traced)
+        state.pseudo_files.update(pseudo_files)
 
 
 class SimProcess:

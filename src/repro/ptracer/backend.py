@@ -54,12 +54,6 @@ class PtraceBackend:
 
     def __post_init__(self) -> None:
         self.name = "ptrace"
-        # The legacy attribute spellings stay for callers that still
-        # read them directly; schedulers go through capabilities(),
-        # which reads back through these.
-        self.deterministic = False
-        self.parallel_safe = False
-        self.process_safe = False
         require_ptrace()
 
     def capabilities(self) -> BackendCapabilities:
@@ -76,17 +70,11 @@ class PtraceBackend:
         makes it the preferred reference of a cross-validation report —
         plus pseudo-file and sub-feature observation when the
         corresponding tracer options are on.
-
-        Like :meth:`SimBackend.capabilities
-        <repro.appsim.backend.SimBackend.capabilities>`, this reads
-        through the instance attributes, so an embedder tuning a flag
-        on one backend object (before handing it to a scheduler) gets
-        a contract that follows.
         """
         return BackendCapabilities(
-            deterministic=self.deterministic,
-            parallel_safe=self.parallel_safe,
-            process_safe=self.process_safe,
+            deterministic=False,
+            parallel_safe=False,
+            process_safe=False,
             supports_pseudo_files=self.track_pseudofiles,
             supports_subfeatures=self.subfeature_level,
             real_execution=True,

@@ -175,7 +175,10 @@ def ptrace_works() -> bool:
     by the tracer's own :func:`~repro.ptracer.spawn.spawn`, under a
     filter trapping ``execve``, to exec ``/``, a directory: it must stop
     once on its ``SIGSTOP``, once on the trapped ``execve``, then exit
-    127 when the exec fails.
+    127 when the exec fails. The tracer's watchdog signals through a
+    pidfd, so the probe also opens one on the child; a host without
+    pidfd support (pre-5.3 kernels, strict seccomp policies) has no
+    tracer either.
     """
     program = compile_filter(frozenset({number_of("execve")}))
     try:
@@ -185,6 +188,7 @@ def ptrace_works() -> bool:
     pid = child.pid
     stops = []
     try:
+        os.close(os.pidfd_open(pid))
         while True:
             _, status = os.waitpid(pid, WAIT_TRACEES)
             if not os.WIFSTOPPED(status):
@@ -212,7 +216,7 @@ def require_ptrace() -> None:
     """Raise :class:`PtraceUnavailableError` unless ptrace is usable."""
     if not ptrace_works():
         raise PtraceUnavailableError(
-            "this environment denies ptrace(2), seccomp filters or the "
-            "tracer's spawn; the real tracing backend is unavailable "
+            "this environment denies ptrace(2), seccomp filters, pidfds "
+            "or the tracer's spawn; the real tracing backend is unavailable "
             "(simulation backend remains fully functional)"
         )

@@ -40,21 +40,12 @@ descriptors via ``/proc/<pid>/fd``) is sampled once, at the root's
 ``PTRACE_EVENT_EXIT`` stop, mirroring the paper's /proc-based
 measurements (point D in Figure 1).
 
-How a run is held to its deadline depends on whether the tracer is its
-process's only thread, as the kernel counts threads just before the
-spawn (:func:`_can_wait_signalled`):
-
-* **one thread** (a serial campaign, a pool worker): the tracer blocks
-  ``SIGCHLD`` and each wait polls ``waitpid(WNOHANG)``, sleeping in
-  ``sigtimedwait`` until the next ``SIGCHLD`` or the deadline. No thread
-  is started, so the next run takes the same path;
-* **more than one** (server workers, ``--jobs`` threads), or a
-  ``SIGCHLD`` that is not at its default action: a blocking
-  ``waitpid``, which the :class:`_Watchdog` thread ends at the deadline
-  by killing the root.
-
-Either way, a run past its deadline has its whole tree killed and
-reaped.
+How a run is held to its deadline: the tracer waits in a blocking
+``waitpid`` and checks the deadline between stops. A tracee asleep
+inside one syscall never stops, so the :class:`_Watchdog` thread kills
+the root at the deadline, which wakes the wait. A run past its deadline
+has its whole tree killed and reaped. A serial campaign therefore runs
+on two threads: the main thread and ``loupe-ptrace-watchdog``.
 """
 
 from __future__ import annotations
@@ -68,7 +59,6 @@ import signal
 import threading
 import time
 from collections import Counter
-from collections.abc import Callable
 
 from repro.core.policy import Action, FakeStrategy, InterpositionPolicy, fake_strategy
 from repro.core.pseudofiles import OPEN_FAMILY, is_pseudo_path
@@ -141,18 +131,15 @@ class TraceOutcome:
 class _Watchdog:
     """SIGKILLs root tracees whose run outlives its deadline.
 
-    It serves only tracers that share their process with another
-    thread, which wait in a blocking ``waitpid``; a tracer alone in its
-    process waits in ``sigtimedwait`` instead, so a serial campaign
-    never starts this thread. A blocking
-    supervise loop checks its deadline only between ``waitpid`` calls,
-    so a tracee asleep inside one syscall would never reach it. Killing
-    the root tracee wakes the loop, which then sees the deadline and
-    kills the rest of the tree. Signals go through a pidfd, so a
-    recycled pid is never hit. One daemon thread serves every run: a
-    thread started per run cost about a tenth of a traced
-    ``/bin/echo``'s CPU time. Without pidfd support (pre-5.3 kernels,
-    strict seccomp filters) nothing is armed.
+    Every run arms it. The supervise loop checks its deadline only
+    between ``waitpid`` calls, so a tracee asleep inside one syscall
+    would never reach it. Killing the root tracee wakes the loop, which
+    then sees the deadline and kills the rest of the tree. Signals go
+    through a pidfd, so a recycled pid is never hit. One daemon thread,
+    started by the first run, serves every run: a thread started per
+    run cost about a tenth of a traced ``/bin/echo``'s CPU time.
+    :func:`~repro.ptracer.ctypes_bindings.ptrace_works` refuses a host
+    without pidfd support, so a run is always armed.
     """
 
     def __init__(self) -> None:
@@ -164,12 +151,9 @@ class _Watchdog:
         self._wake_at = math.inf
         self._thread: "threading.Thread | None" = None
 
-    def arm(self, pid: int, timeout_s: float) -> "int | None":
+    def arm(self, pid: int, timeout_s: float) -> int:
         """Watch *pid*; returns the handle :meth:`disarm` takes."""
-        try:
-            pidfd = os.pidfd_open(pid)
-        except OSError:
-            return None
+        pidfd = os.pidfd_open(pid)
         deadline = time.monotonic() + timeout_s
         with self._cond:
             self._deadlines[pidfd] = deadline
@@ -183,11 +167,10 @@ class _Watchdog:
                 self._cond.notify()
         return pidfd
 
-    def disarm(self, pidfd: "int | None") -> None:
-        if pidfd is not None:
-            with self._cond:
-                self._deadlines.pop(pidfd, None)
-            os.close(pidfd)  # after the lock: no signal is in flight on it
+    def disarm(self, pidfd: int) -> None:
+        with self._cond:
+            self._deadlines.pop(pidfd, None)
+        os.close(pidfd)  # after the lock: no signal is in flight on it
 
     def _serve(self) -> None:
         with self._cond:
@@ -207,52 +190,6 @@ class _Watchdog:
 _WATCHDOG = _Watchdog()
 # A forked child has no watchdog thread, and may hold its lock mid-use.
 os.register_at_fork(after_in_child=_WATCHDOG.__init__)
-
-
-def _can_wait_signalled() -> bool:
-    """Whether a run may wait in ``sigtimedwait``, with no watchdog.
-
-    Only when this thread is the process's only one, as the kernel
-    counts them (``threading.active_count()`` misses ``_thread``
-    threads), and ``SIGCHLD`` is at its default action: an ignored
-    ``SIGCHLD`` is never sent for a stop, and a handler would lose the
-    ones the wait consumes.
-    """
-    if signal.getsignal(signal.SIGCHLD) is not signal.SIG_DFL:
-        return False
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
-#: Waits for the next stop or exit of *pid* (-1: any tracee) and returns
-#: ``(pid, status)``, or ``None`` once *deadline* has passed.
-_Wait = Callable[[int, float], "tuple[int, int] | None"]
-
-
-def _wait_blocking(pid: int, deadline: float) -> "tuple[int, int] | None":
-    """The watchdog path: the deadline is checked between stops, and the
-    watchdog's SIGKILL ends a wait for a stop that never comes."""
-    if time.monotonic() > deadline:
-        return None
-    return os.waitpid(pid, WAIT_TRACEES)
-
-
-def _wait_signalled(pid: int, deadline: float) -> "tuple[int, int] | None":
-    """The one-thread path, with ``SIGCHLD`` blocked: take a ready stop,
-    else sleep in ``sigtimedwait`` until the next ``SIGCHLD`` or the
-    deadline. Pending ``SIGCHLD`` signals merge, so one wake-up can
-    stand for several stops; polling before every sleep drains them
-    all."""
-    while True:
-        remaining = deadline - time.monotonic()
-        if remaining < 0:
-            return None
-        found = os.waitpid(pid, os.WNOHANG | WAIT_TRACEES)
-        if found[0]:
-            return found
-        signal.sigtimedwait((signal.SIGCHLD,), remaining)
 
 
 class SyscallTracer:
@@ -280,9 +217,6 @@ class SyscallTracer:
         program = compile_filter(self.trapped_numbers())
         started = time.monotonic()
         deadline = started + self.timeout_s
-        # Checked right before the spawn: only this thread could start
-        # another one in between.
-        alone = _can_wait_signalled()
         # The child runs on *tracee*'s memory until it execs: it lives
         # in this frame until the run is over.
         tracee = spawn(argv, env, ctypes.addressof(program))
@@ -296,29 +230,21 @@ class SyscallTracer:
             mem_peak_kb=0,
             duration_s=0.0,
         )
-        if alone:
-            # Blocked after the spawn: the child restores the mask the
-            # spawn found, and exec keeps it.
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGCHLD})
-            wait = _wait_signalled
-        else:
-            watch = _WATCHDOG.arm(child, self.timeout_s)
-            wait = _wait_blocking
         # pid -> whether its syscalls are attributed and interposed.
         # The root's own seccomp stops before its exec (the exec path
         # search) are neither.
         states: dict[int, bool] = {child: False}
         try:
-            self._supervise(child, states, outcome, deadline, wait)
+            watch = _WATCHDOG.arm(child, self.timeout_s)
+            try:
+                self._supervise(child, states, outcome, deadline)
+            finally:
+                _WATCHDOG.disarm(watch)
         except BaseException:
             # A root that has not exec'd still runs on *tracee*'s memory.
             self._kill_all(states)
             raise
         finally:
-            if alone:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            else:
-                _WATCHDOG.disarm(watch)
             outcome.duration_s = time.monotonic() - started
         # A lone root the watchdog killed empties the tree before the
         # loop can look at its deadline.
@@ -357,31 +283,31 @@ class SyscallTracer:
         states: "dict[int, bool]",
         outcome: TraceOutcome,
         deadline: float,
-        wait: "_Wait",
     ) -> None:
         root_execed = False
 
-        first = wait(root, deadline)
-        if first is None:
+        if time.monotonic() > deadline:
             outcome.timed_out = True
             self._kill_all(states)
             return
-        if not os.WIFSTOPPED(first[1]):
+        _, status = os.waitpid(root, WAIT_TRACEES)
+        if not os.WIFSTOPPED(status):
             states.clear()
             raise TraceeError("tracee vanished before its first stop")
         ptrace(PTRACE_SETOPTIONS, root, 0, _TRACE_OPTIONS)
         ptrace(PTRACE_CONT, root, 0, 0)
 
         while states:
-            try:
-                found = wait(-1, deadline)
-            except ChildProcessError:
-                break
-            if found is None:
+            # Checked between stops; the watchdog's SIGKILL ends a wait
+            # for a stop that never comes.
+            if time.monotonic() > deadline:
                 outcome.timed_out = True
                 self._kill_all(states)
                 break
-            pid, status = found
+            try:
+                pid, status = os.waitpid(-1, WAIT_TRACEES)
+            except ChildProcessError:
+                break
 
             if os.WIFEXITED(status) or os.WIFSIGNALED(status):
                 states.pop(pid, None)

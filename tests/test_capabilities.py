@@ -1,6 +1,7 @@
 """Tests for the backend capability contract (BackendCapabilities)."""
 
 import contextlib
+import dataclasses
 import warnings
 
 import pytest
@@ -56,9 +57,14 @@ class TestBuiltinContracts:
         assert caps.supports_subfeatures
         assert not caps.real_execution
 
-    def test_sim_backend_contract_follows_instance_flags(self):
-        backend = build("weborf").backend()
-        backend.process_safe = False
+    def test_sim_backend_subclass_can_withdraw_process_safe(self):
+        class _Unsharded(SimBackend):
+            def capabilities(self):
+                return dataclasses.replace(
+                    super().capabilities(), process_safe=False
+                )
+
+        backend = _Unsharded(build("weborf").program)
         assert not capabilities_of(backend).process_safe
         assert not process_shardable(backend)
 
@@ -68,9 +74,6 @@ class TestBuiltinContracts:
         backend = object.__new__(PtraceBackend)
         backend.subfeature_level = True
         backend.track_pseudofiles = False
-        backend.deterministic = False
-        backend.parallel_safe = False
-        backend.process_safe = False
         caps = backend.capabilities()
         assert caps.real_execution
         assert caps.supports_subfeatures
@@ -289,12 +292,3 @@ class TestEngineIntegration:
             Analyzer(AnalyzerConfig(pseudo_files=True)).analyze(
                 Legacy(), app.workload("health")
             )
-
-    def test_ptrace_contract_follows_instance_flags(self):
-        backend = object.__new__(PtraceBackend)
-        backend.subfeature_level = True
-        backend.track_pseudofiles = True
-        backend.deterministic = False
-        backend.process_safe = False
-        backend.parallel_safe = True  # embedder tuning: contract follows
-        assert backend.capabilities().parallel_safe

@@ -17,6 +17,7 @@ capability contract alone, before any run, and only for
 real-execution backends.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -205,14 +206,19 @@ class TestCapabilityFallback:
         assert _digest(result) == _digest(reference)
 
     def test_process_shardable_requires_declaration(self):
-        backend = SimBackend(SimProgram(
+        class _Unsharded(SimBackend):
+            def capabilities(self):
+                return dataclasses.replace(
+                    super().capabilities(), process_safe=False
+                )
+
+        program = SimProgram(
             name="declared", version="1",
             ops=(SyscallOp(syscall="read", on_stub=ignore(),
                            on_fake=harmless()),),
-        ))
-        assert process_shardable(backend)
-        backend.process_safe = False
-        assert not process_shardable(backend)
+        )
+        assert process_shardable(SimBackend(program))
+        assert not process_shardable(_Unsharded(program))
 
 
 class _RealExecution:

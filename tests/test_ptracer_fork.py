@@ -1,11 +1,11 @@
-"""Tests of the tracer's two wait paths, on its one spawn.
+"""Tests of the tracer's one wait, on its one spawn, from a fresh
+interpreter.
 
-Every tracee is started by :func:`repro.ptracer.spawn.spawn`. A tracer
-that is its process's only thread bounds a run with ``sigtimedwait``;
-any other tracer waits in a blocking ``waitpid`` that the watchdog
-thread ends. The suite's own process holds pool, server and watchdog
-threads, so in-process the one-thread path would never run: every test
-here drives a fresh interpreter. Each one is pinned to one CPU, where a
+Every tracee is started by :func:`repro.ptracer.spawn.spawn`, and
+every run waits in a blocking ``waitpid`` that the watchdog thread ends
+at the deadline. The suite's own process holds pool and server
+threads, so the thread counts here, and the reaping of tracees, are
+checked in a fresh interpreter. Each one is pinned to one CPU, where a
 ptrace stop hands the CPU straight between tracee and tracer; across
 CPUs a campaign takes about three times as long.
 """
@@ -45,24 +45,17 @@ def idle_thread():
     threading.Thread(target=threading.Event().wait, daemon=True).start()
 """
 
-#: Counts the tracer's spawns, in ``spawns``, and the runs that took the
-#: ``sigtimedwait`` wait, in ``signalled``.
+#: Counts the tracer's spawns, in ``spawns``.
 _COUNT_SPAWNS = """
-spawns = signalled = 0
-_spawn, _gate = tracer.spawn, tracer._can_wait_signalled
+spawns = 0
+_spawn = tracer.spawn
 
 def _counted_spawn(*args):
     global spawns
     spawns += 1
     return _spawn(*args)
 
-def _counted_gate():
-    global signalled
-    alone = _gate()
-    signalled += alone
-    return alone
-
-tracer.spawn, tracer._can_wait_signalled = _counted_spawn, _counted_gate
+tracer.spawn = _counted_spawn
 """
 
 
@@ -81,9 +74,12 @@ def _fresh(body: str, *, count_spawns: bool = True, timeout: float = 120.0):
 
 
 class TestOneThreadPath:
+    """A tracer that starts no thread of its own: the process gains the
+    watchdog and nothing else."""
+
     def test_serial_campaign_leaves_one_thread(self):
-        """No watchdog thread is started, so every run of a serial
-        campaign can wait in ``sigtimedwait``."""
+        """A serial campaign leaves one thread beside the main one: the
+        watchdog that every run arms."""
         result, _ = _fresh("""
             from repro import LoupeSession
             from repro.api.session import AnalysisRequest
@@ -97,7 +93,10 @@ class TestOneThreadPath:
                 "names": [thread.name for thread in threading.enumerate()],
             }))
         """, count_spawns=False)
-        assert result == {"ok": True, "threads": 1, "names": ["MainThread"]}
+        assert result == {
+            "ok": True, "threads": 2,
+            "names": ["MainThread", "loupe-ptrace-watchdog"],
+        }
 
     def test_timeout_stops_a_sleeping_tracee(self):
         result, _ = _fresh("""
@@ -109,16 +108,15 @@ class TestOneThreadPath:
                 "timed_out": outcome.timed_out,
                 "elapsed": time.monotonic() - started,
                 "spawns": spawns,
-                "signalled": signalled,
                 "no_children": no_children(),
                 "threads": threads(),
             }))
         """)
         assert result["timed_out"]
         assert result["elapsed"] < 2.0
-        assert result["spawns"] == result["signalled"] == 1
+        assert result["spawns"] == 1
         assert result["no_children"]
-        assert result["threads"] == 1
+        assert result["threads"] == 2
 
     def test_probe_timeout_is_a_timeout_fault(self):
         result, _ = _fresh("""
@@ -138,20 +136,18 @@ class TestOneThreadPath:
                 "faults": [failure.kind for failure in outcome.failures],
                 "elapsed": time.monotonic() - started,
                 "spawns": spawns,
-                "signalled": signalled,
                 "no_children": no_children(),
             }))
         """)
         assert result["faults"] == ["timeout"]
         assert result["elapsed"] < 2.0
-        assert result["spawns"] == result["signalled"] == 1
+        assert result["spawns"] == 1
         assert result["no_children"]
 
     def test_tracee_starts_with_no_signal_blocked(self):
-        """The spawn blocks every signal around the clone and the tracer
-        blocks ``SIGCHLD`` after it, but the tracee (which keeps its
-        mask across exec) blocks nothing, and the tracer's own mask is
-        restored after the run."""
+        """The spawn blocks every signal around the clone, but the
+        tracee (which keeps its mask across exec) blocks nothing, and
+        the tracer's own mask is restored after the run."""
         result, lines = _fresh("""
             outcome = tracer.SyscallTracer(passthrough()).run(
                 ["grep", "SigBlk", "/proc/self/status"]
@@ -159,22 +155,21 @@ class TestOneThreadPath:
             print(json.dumps({
                 "exit_code": outcome.exit_code,
                 "spawns": spawns,
-                "signalled": signalled,
                 "mask_after": sorted(signal.pthread_sigmask(signal.SIG_BLOCK, [])),
             }))
         """)
-        assert result == {
-            "exit_code": 0, "spawns": 1, "signalled": 1, "mask_after": [],
-        }
+        assert result == {"exit_code": 0, "spawns": 1, "mask_after": []}
         assert lines == ["SigBlk:\t0000000000000000"]
 
 
 class TestDeadline:
-    @pytest.mark.parametrize("setup, signalled", [("", 1), ("idle_thread()", 0)])
-    def test_tracee_that_keeps_stopping_is_reaped(self, setup, signalled):
+    @pytest.mark.parametrize(
+        "setup", ["", "idle_thread()"], ids=["alone", "beside_a_thread"]
+    )
+    def test_tracee_that_keeps_stopping_is_reaped(self, setup):
         """A tracee killed at the deadline between two of its stops still
         stops at its exit event; it is let go to die, not left stopped,
-        on either wait."""
+        whether or not the tracer shares its process."""
         result, _ = _fresh(f"""
             {setup}
             spin = "import os\\nwhile True: os.getppid()"
@@ -184,21 +179,20 @@ class TestDeadline:
             print(json.dumps({{
                 "timed_out": outcome.timed_out,
                 "spawns": spawns,
-                "signalled": signalled,
                 "no_children": no_children(),
             }}))
         """)
-        assert result == {
-            "timed_out": True, "spawns": 1, "signalled": signalled,
-            "no_children": True,
-        }
+        assert result == {"timed_out": True, "spawns": 1, "no_children": True}
 
 
 class TestGate:
+    """Runs beside another thread, or with ``SIGCHLD`` ignored, take
+    the same wait and observe the same calls."""
+
     def test_a_gil_hungry_thread_takes_the_watchdog_wait(self):
         """With another thread asking for the GIL through 300 runs, every
-        run uses the same spawn and takes the watchdog wait, none hangs,
-        and each observes what the same run observed alone."""
+        run uses the same spawn, none hangs, and each observes what the
+        same run observed alone."""
         result, _ = _fresh("""
             cases = [
                 (stubbing("write"), ["/bin/echo", "x"]),
@@ -211,7 +205,7 @@ class TestGate:
                 return [outcome.exit_code, dict(outcome.traced), outcome.timed_out]
 
             alone = [observe(*case) for case in cases]
-            counts_alone = [spawns, signalled]
+            spawns_alone = spawns
             stop = threading.Event()
             spins = [0]
 
@@ -228,8 +222,8 @@ class TestGate:
                 stop.set()
                 spinner.join(10.0)
             print(json.dumps({
-                "alone": counts_alone,
-                "with_thread": [spawns - counts_alone[0], signalled - counts_alone[1]],
+                "alone": spawns_alone,
+                "with_thread": spawns - spawns_alone,
                 "mismatched": sum(
                     run != alone[index % 3] for index, run in enumerate(runs)
                 ),
@@ -237,15 +231,15 @@ class TestGate:
                 "spinner_alive": spinner.is_alive(),
             }))
         """, timeout=300.0)
-        assert result["alone"] == [3, 3]
-        assert result["with_thread"] == [300, 0]
+        assert result["alone"] == 3
+        assert result["with_thread"] == 300
         assert result["mismatched"] == 0
         assert result["spins"] > 0
         assert not result["spinner_alive"]
 
     def test_an_ignored_sigchld_takes_the_watchdog_wait(self):
-        """An ignored ``SIGCHLD`` is never sent for a stop, so
-        ``sigtimedwait`` would sleep to the deadline."""
+        """An ignored ``SIGCHLD`` is never sent for a stop; a blocking
+        ``waitpid`` still sees every stop and the exit."""
         result, _ = _fresh("""
             signal.signal(signal.SIGCHLD, signal.SIG_IGN)
             outcome = tracer.SyscallTracer(passthrough(), timeout_s=30.0).run(
@@ -255,51 +249,25 @@ class TestGate:
                 "exit_code": outcome.exit_code,
                 "timed_out": outcome.timed_out,
                 "spawns": spawns,
-                "signalled": signalled,
             }))
         """)
-        assert result == {
-            "exit_code": 0, "timed_out": False, "spawns": 1, "signalled": 0,
-        }
+        assert result == {"exit_code": 0, "timed_out": False, "spawns": 1}
 
 
-class TestPathEquivalence:
-    def test_both_paths_reach_the_same_analysis(self, tmp_path):
-        """A serial campaign on the ``sigtimedwait`` wait and on the
-        watchdog wait (forced by an idle thread) finds the same sets,
-        and a passthrough run traces the same calls."""
-        (tmp_path / "input.txt").write_text("one line of fixed input\n")
-        body = """
-            from repro import LoupeSession
-            from repro.api.session import AnalysisRequest
-            {setup}
-            commands = [
-                ["/bin/true"], ["/bin/echo", "loupe"],
-                ["/bin/ls", {directory!r}], ["/bin/date", "-u"],
-            ]
-            found = {{}}
-            with LoupeSession() as session:
-                for argv in commands:
-                    report = session.analyze(AnalysisRequest(
-                        backend="ptrace", argv=tuple(argv), timeout_s=10.0,
-                    ))
-                    traced = tracer.SyscallTracer(passthrough()).run(argv).traced
-                    found[argv[0]] = {{
-                        "required": sorted(report.required_syscalls()),
-                        "avoidable": sorted(report.avoidable_syscalls()),
-                        "stubbable": sorted(report.stubbable_syscalls()),
-                        "fakeable": sorted(report.fakeable_syscalls()),
-                        "final_run_ok": report.final_run_ok,
-                        "traced": dict(traced),
-                    }}
-            print(json.dumps({{
-                "found": found, "spawns": spawns, "signalled": signalled,
-            }}))
-        """
-        directory = str(tmp_path)
-        signalled, _ = _fresh(body.format(setup="", directory=directory))
-        watched, _ = _fresh(body.format(setup="idle_thread()", directory=directory))
-        assert signalled["spawns"] == signalled["signalled"] > 0
-        assert watched["spawns"] > 0 and watched["signalled"] == 0
-        assert signalled["found"] == watched["found"]
-        assert all(entry["final_run_ok"] for entry in signalled["found"].values())
+class TestPidfd:
+    def test_no_pidfd_means_no_tracer(self):
+        """The watchdog signals through a pidfd, so a host that refuses
+        one has no ``ptrace`` backend; the probe's child is reaped."""
+        result, _ = _fresh("""
+            from repro.ptracer import ctypes_bindings
+
+            def refuse(pid, flags=0):
+                raise OSError(38, "Function not implemented")
+
+            os.pidfd_open = refuse
+            print(json.dumps({
+                "works": ctypes_bindings.ptrace_works(),
+                "no_children": no_children(),
+            }))
+        """, count_spawns=False)
+        assert result == {"works": False, "no_children": True}
